@@ -2,8 +2,8 @@
 
 EPPF evaluation, predictive (seating) rules, number-of-blocks laws, alpha
 diversity densities, and samplers for the generalized Gamma random-partition
-family, with closed inverse-Gaussian paths at alpha = 1/2 cross-checked
-against generic numerical routes.
+family. Each quantity has one production route; the closed inverse-Gaussian
+forms at alpha = 1/2 cross-check the generic numerical routes.
 """
 
 __version__ = "0.1.0"

@@ -19,12 +19,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .specfun import CancellationError, QuadratureSpec, integrate_decaying
+from .specfun import CancellationError, QuadratureSpec, integrate_decaying, log_rising_factorial
 from .tempered_stable import DEFAULT_SERIES, GGParams
 from .eppf import Composition, EtaMemo, log_eppf, predictive
 from .blocks import blocks_pmf, diversity_density
-from .oracle import MAX_ENUMERATION_N, exact_blocks_pmf
-from .sampler import monte_carlo_blocks, sample_partition
+from .oracle import MAX_ENUMERATION_N, enumerate_set_partitions, exact_blocks_pmf
+from .sampler import _replicate_rng, monte_carlo_blocks, sample_partition
 
 __all__ = ["main", "build_parser"]
 
@@ -47,7 +47,7 @@ def _parse_s_values(args) -> list[float]:
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
         if count < 2 or not (0.0 < lo < hi):
             raise argparse.ArgumentTypeError(f"bad s grid {args.s_grid!r}")
-        vals = list(np.linspace(lo, hi, count))
+        vals = np.linspace(lo, hi, count).tolist()
     if any(v <= 0 for v in vals):
         raise argparse.ArgumentTypeError("s values must be positive")
     return vals
@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eppf", parents=[common], help="EPPF value of one composition")
     p.add_argument("--composition", type=_parse_composition, required=True,
                    help="comma-separated block sizes, e.g. 3,2")
-    p.add_argument("--method", choices=("auto", "closed", "quadrature"), default="auto")
     p.add_argument("--oracle", choices=("pd",), default=None,
                    help="pd: compare with the exact gamma=0 closed form")
 
@@ -157,11 +156,13 @@ def _csv(header: str, rows: list[str]) -> str:
 
 def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
     comp: Composition = args.composition
-    lv = log_eppf(comp, params, spec, method=args.method)
     from .eppf import log_vnk
-    from .specfun import log_rising_factorial
 
-    lvnk = log_vnk(comp.n, comp.k, params, spec, method=args.method)
+    # one memo, no table: three quadratures serve the EPPF, V and the
+    # predictive, whose additivity check stays independent of the recurrence
+    eta = EtaMemo(params, spec)
+    lv = log_eppf(comp, params, spec, eta=eta)
+    lvnk = log_vnk(comp.n, comp.k, params, spec, eta=eta)
     gibbs = [log_rising_factorial(1.0 - params.alpha, s - 1) for s in comp.block_sizes]
     payload = {
         "composition": list(comp.block_sizes),
@@ -173,7 +174,7 @@ def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
         "v": lvnk.value,
         "log_gibbs_factors": gibbs,
     }
-    pred = predictive(comp, params, spec)
+    pred = predictive(comp, params, spec, eta=eta)
     checks = [_check("additivity_residual", abs(pred.total - 1.0), 1e-8)]
     if args.oracle == "pd":
         if params.gamma != 0.0:
@@ -290,8 +291,8 @@ def cmd_diversity(args, params: GGParams, spec: QuadratureSpec):
         ]
     header = "s,density,log_density"
     rows = [
-        f"{s!r},{'' if d is None else repr(d)},{'' if d is None else repr(math.log(d))}"
-        for s, d in zip(s_values, densities)
+        f"{s!r},{'' if d is None else repr(d)},{'' if ld is None else repr(ld)}"
+        for s, d, ld in zip(s_values, densities, payload["log_density"])
     ]
     return payload, checks, _csv(header, rows)
 
@@ -304,8 +305,7 @@ def cmd_sample(args, params: GGParams, spec: QuadratureSpec):
     samples = []
     ok_labels = True
     for r in range(args.replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(r,)))
-        part = sample_partition(args.n, params, rng, eta=eta)
+        part = sample_partition(args.n, params, _replicate_rng(args.seed, r), eta=eta)
         seen = 0
         for lab in part.labels:
             if lab > seen + 1:
@@ -338,26 +338,30 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
         raise SystemExit("--n-max must be >= 1")
     checks = []
     rows = []
+    # the table serves blocks_pmf; the enumeration and predictive identities
+    # read per-cell quadratures, so they check the table instead of echoing it
+    table = EtaMemo(params, spec)
+    table.ensure_rows(n_max)
+    cells = EtaMemo(params, spec)
     for n in range(1, n_max + 1):
-        exact = exact_blocks_pmf(n, params, spec)
+        exact = exact_blocks_pmf(n, params, spec, eta=cells)
         norm_res = abs(exact.total - 1.0)
         checks.append(_check(f"eppf_normalization_n{n}", norm_res, 1e-8))
         rows.append(f"eppf_normalization,n={n},{norm_res!r},1e-08,{norm_res <= 1e-8}")
-        fast = blocks_pmf(n, params, spec)
+        fast = blocks_pmf(n, params, spec, eta=table)
         dev = max(abs(a - b) for a, b in zip(fast.probabilities, exact.probabilities))
         checks.append(_check(f"blocks_vs_enumeration_n{n}", dev, 1e-8))
         rows.append(f"blocks_vs_enumeration,n={n},{dev!r},1e-08,{dev <= 1e-8}")
     # predictive additivity across the shapes of n_max
     worst = 0.0
     seen = set()
-    from .oracle import enumerate_set_partitions
-
     for part in enumerate_set_partitions(min(n_max, 6)):
         shape = tuple(sorted(part.block_sizes, reverse=True))
         if shape in seen:
             continue
         seen.add(shape)
-        worst = max(worst, abs(predictive(Composition(shape), params, spec).total - 1.0))
+        pred = predictive(Composition(shape), params, spec, eta=cells)
+        worst = max(worst, abs(pred.total - 1.0))
     checks.append(_check("predictive_additivity_worst", worst, 1e-8))
     rows.append(f"predictive_additivity,shapes<=6,{worst!r},1e-08,{worst <= 1e-8}")
     payload = {"n_max": n_max}

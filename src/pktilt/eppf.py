@@ -10,15 +10,13 @@ with
     eta(n, k) = int_0^inf lam^(n-1) e^(-delta w^alpha) w^(k alpha - n) dlam,
     w = gamma^(1/alpha) + 2 lam.
 
-Two evaluation routes for eta:
-
-  * quadrature after the substitution u = delta w^alpha, which maps the
-    domain to (delta gamma, inf) and makes the integrand exponentially
-    decaying (handled by integrate_decaying);
-  * at alpha = 1/2, gamma > 0, a finite sum of upper incomplete gamma
-    functions obtained from the substitution t = delta sqrt(gamma^2 + 2 lam)
-    and a binomial expansion; alternating, so it carries a cancellation
-    guard and falls back to quadrature when digits run out.
+eta is evaluated by quadrature after the substitution u = delta w^alpha,
+which maps the domain to (delta gamma, inf) and makes the integrand
+exponentially decaying (handled by integrate_decaying). At alpha = 1/2,
+gamma > 0 there is also a finite sum of upper incomplete gamma functions
+(substitution t = delta sqrt(gamma^2 + 2 lam) and a binomial expansion).
+The sum alternates and loses digits as n grows, so it is kept only as an
+oracle, log_eta_half_closed, with a cancellation guard.
 
 One-customer predictive weights are eta ratios:
 
@@ -38,7 +36,6 @@ faster and more accurate than quadrature per cell.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +57,8 @@ __all__ = [
     "Composition",
     "PredictiveDistribution",
     "EtaMemo",
-    "CLOSED_FORM_MAX_N",
-    "closed_form_fallbacks",
     "log_eta",
+    "log_eta_half_closed",
     "log_vnk",
     "log_eppf",
     "predictive",
@@ -70,31 +66,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# beyond this n the alternating closed-form sum at alpha = 1/2 reliably loses
-# more than the guard's 6 digits, so don't bother attempting it
-CLOSED_FORM_MAX_N = 32
-
 _MAX_DIGIT_LOSS = 6.0
-
-
-class _FallbackCounter:
-    """Counts closed-form evaluations that tripped the cancellation guard
-    and fell back to quadrature."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.count = 0
-
-    def bump(self) -> None:
-        with self._lock:
-            self.count += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.count = 0
-
-
-closed_form_fallbacks = _FallbackCounter()
 
 
 @dataclass(frozen=True)
@@ -149,28 +121,53 @@ class PredictiveDistribution:
 
 def _log_eta_quadrature(n: int, k: int, params: GGParams, spec: QuadratureSpec) -> float:
     alpha, delta = params.alpha, params.delta
-    gr = params.gamma_root
     u0 = delta * params.gamma
     c = k * alpha - n + 1.0 - alpha
-    log_norm = math.log(2.0 * alpha * delta)
     log_delta = math.log(delta)
+    # lam = (w - gamma^(1/alpha)) / 2 is taken in log scale, since w overflows
+    # at small alpha; log_gr is log w at u0, so log_gr <= log w on (u0, inf).
+    # The 2^(1-n) of lam^(n-1) is folded into log_norm.
+    log_gr = (math.log(u0) - log_delta) / alpha if u0 > 0.0 else -math.inf
+    log_norm = math.log(2.0 * alpha * delta) + (n - 1) * _LN2
 
     def log_f(u: np.ndarray) -> np.ndarray:
         logw = (np.log(u) - log_delta) / alpha
         out = -u + c * logw - log_norm
         if n > 1:
-            w = np.exp(logw)
-            lam = np.maximum(0.5 * (w - gr), 0.0)
             with np.errstate(divide="ignore"):
-                out = out + (n - 1) * np.log(lam)
+                out = out + (n - 1) * (logw + np.log(-np.expm1(log_gr - logw)))
         return out
 
     return integrate_decaying(log_f, u0, spec).log_magnitude
 
 
-def _log_eta_half_closed(n: int, k: int, params: GGParams) -> float:
-    # alpha = 1/2, gamma > 0: eta(n,k) = 2^(1-n) delta^(-k) *
-    #   sum_i C(n-1, i) (-1)^(n-1-i) (delta gamma)^(2(n-1-i)) Gamma(k-2n+2+2i; delta gamma)
+def _validate_nk(n: int, k: int) -> None:
+    if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
+        raise ValueError("n and k must be integers")
+    if n < 1 or k < 1 or k > n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+
+
+def log_eta(n: int, k: int, params: GGParams, spec: QuadratureSpec | None = None) -> LogValue:
+    """log of eta(n, k) as a LogValue (eta is strictly positive), by quadrature."""
+    _validate_nk(n, k)
+    if spec is None:
+        spec = DEFAULT_QUADRATURE
+    return LogValue.from_log(_log_eta_quadrature(n, k, params, spec))
+
+
+def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
+    """Oracle for log eta(n, k) at alpha = 1/2, gamma > 0:
+
+        eta(n, k) = 2^(1-n) delta^(-k) sum_i C(n-1, i) (-1)^(n-1-i)
+                    (delta gamma)^(2(n-1-i)) Gamma(k-2n+2+2i; delta gamma).
+
+    The sum alternates; CancellationError is raised once it loses more than
+    six digits, which happens as n grows.
+    """
+    _validate_nk(n, k)
+    if params.alpha != 0.5 or params.gamma <= 0.0:
+        raise ValueError("closed form requires alpha = 1/2 and gamma > 0")
     delta = params.delta
     x = delta * params.gamma
     log_x = math.log(x)
@@ -193,51 +190,7 @@ def _log_eta_half_closed(n: int, k: int, params: GGParams) -> float:
         raise CancellationError(
             f"closed-form eta lost {loss:.1f} digits at n={n}, k={k}"
         )
-    return (1 - n) * _LN2 - k * math.log(delta) + total.log_magnitude
-
-
-def _validate_nk(n: int, k: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise ValueError("n and k must be integers")
-    if n < 1 or k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-
-
-def log_eta(
-    n: int,
-    k: int,
-    params: GGParams,
-    spec: QuadratureSpec | None = None,
-    method: str = "auto",
-) -> LogValue:
-    """log of eta(n, k) as a LogValue (eta is strictly positive).
-
-    method: "auto" tries the alpha = 1/2 closed form when available (gamma > 0,
-    n <= CLOSED_FORM_MAX_N) and falls back to quadrature on cancellation,
-    bumping the module-level closed_form_fallbacks counter; "closed" forces
-    the closed form (errors if unavailable or cancelled); "quadrature" forces
-    numerical integration.
-    """
-    _validate_nk(n, k)
-    if spec is None:
-        spec = DEFAULT_QUADRATURE
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed":
-        if params.alpha != 0.5 or params.gamma <= 0.0:
-            raise ValueError("closed form requires alpha = 1/2 and gamma > 0")
-        return LogValue.from_log(_log_eta_half_closed(n, k, params))
-    if (
-        method == "auto"
-        and params.alpha == 0.5
-        and params.gamma > 0.0
-        and n <= CLOSED_FORM_MAX_N
-    ):
-        try:
-            return LogValue.from_log(_log_eta_half_closed(n, k, params))
-        except CancellationError:
-            closed_form_fallbacks.bump()
-    return LogValue.from_log(_log_eta_quadrature(n, k, params, spec))
+    return LogValue.from_log((1 - n) * _LN2 - k * math.log(delta) + total.log_magnitude)
 
 
 def log_vnk(
@@ -245,11 +198,17 @@ def log_vnk(
     k: int,
     params: GGParams,
     spec: QuadratureSpec | None = None,
-    method: str = "auto",
+    eta: EtaMemo | None = None,
 ) -> LogValue:
-    """log of the Gibbs coefficient V_{n,k} as a LogValue."""
-    le = log_eta(n, k, params, spec, method)
-    return le.shifted(_log_vnk_prefactor(n, k, params))
+    """log of the Gibbs coefficient V_{n,k} as a LogValue.
+
+    eta, a memo for the same params, serves eta(n, k) when given.
+    """
+    if eta is None:
+        le = log_eta(n, k, params, spec).log_magnitude
+    else:
+        le = eta.log_eta(n, k)
+    return LogValue.from_log(le + _log_vnk_prefactor(n, k, params))
 
 
 def _log_vnk_prefactor(n: int, k: int, params: GGParams) -> float:
@@ -265,11 +224,14 @@ def log_eppf(
     composition: Composition,
     params: GGParams,
     spec: QuadratureSpec | None = None,
-    method: str = "auto",
+    eta: EtaMemo | None = None,
 ) -> LogValue:
-    """log EPPF value of an ordered composition of block sizes."""
+    """log EPPF value of an ordered composition of block sizes.
+
+    eta, a memo for the same params, serves eta(n, k) when given.
+    """
     n, k = composition.n, composition.k
-    lv = log_vnk(n, k, params, spec, method)
+    lv = log_vnk(n, k, params, spec, eta)
     w = math.fsum(
         log_rising_factorial(1.0 - params.alpha, s - 1) for s in composition.block_sizes
     )
@@ -282,7 +244,7 @@ class EtaMemo:
     ensure_rows(n_top) computes the top row by quadrature (n_top integrals)
     and fills every row below through the exact downward recurrence, giving
     the whole triangle for O(n_top) quadratures. Cells outside the table are
-    computed on demand through the usual dispatch and cached. Thread-safe.
+    computed on demand by quadrature and cached.
     """
 
     def __init__(self, params: GGParams, spec: QuadratureSpec | None = None):
@@ -291,51 +253,47 @@ class EtaMemo:
         self._rows: dict[int, np.ndarray] = {}
         self._top = 0
         self._cells: dict[tuple[int, int], float] = {}
-        self._lock = threading.RLock()
         self.quadrature_cells = 0
 
     def ensure_rows(self, n_top: int) -> None:
         """Guarantee table coverage of every (n, k) with n <= n_top."""
         if n_top < 1:
             raise ValueError("n_top must be >= 1")
-        with self._lock:
-            if self._top >= n_top:
-                return
-            alpha, delta = self.params.alpha, self.params.delta
-            top = np.full(n_top + 2, -np.inf)
-            for k in range(1, n_top + 1):
-                top[k] = _log_eta_quadrature(n_top, k, self.params, self.spec)
-                self.quadrature_cells += 1
-            rows = {n_top: top}
-            log_2ad = math.log(2.0 * alpha * delta)
-            for n in range(n_top - 1, 0, -1):
-                nxt = rows[n + 1]
-                k_arr = np.arange(1, n + 1, dtype=float)
-                new_part = log_2ad + nxt[2:n + 2]
-                old_part = _LN2 + np.log(n - alpha * k_arr) + nxt[1:n + 1]
-                row = np.full(n + 2, -np.inf)
-                row[1:n + 1] = np.logaddexp(new_part, old_part) - math.log(n)
-                rows[n] = row
-            self._rows = rows
-            self._top = n_top
+        if self._top >= n_top:
+            return
+        alpha, delta = self.params.alpha, self.params.delta
+        top = np.full(n_top + 2, -np.inf)
+        for k in range(1, n_top + 1):
+            top[k] = _log_eta_quadrature(n_top, k, self.params, self.spec)
+            self.quadrature_cells += 1
+        rows = {n_top: top}
+        log_2ad = math.log(2.0 * alpha * delta)
+        for n in range(n_top - 1, 0, -1):
+            nxt = rows[n + 1]
+            k_arr = np.arange(1, n + 1, dtype=float)
+            new_part = log_2ad + nxt[2:n + 2]
+            old_part = _LN2 + np.log(n - alpha * k_arr) + nxt[1:n + 1]
+            row = np.full(n + 2, -np.inf)
+            row[1:n + 1] = np.logaddexp(new_part, old_part) - math.log(n)
+            rows[n] = row
+        self._rows = rows
+        self._top = n_top
 
     def log_eta(self, n: int, k: int) -> float:
         _validate_nk(n, k)
-        with self._lock:
-            if n <= self._top:
-                return float(self._rows[n][k])
-            key = (n, k)
-            if key not in self._cells:
-                self._cells[key] = log_eta(n, k, self.params, self.spec).log_magnitude
-                self.quadrature_cells += 1
-            return self._cells[key]
+        if n <= self._top:
+            return float(self._rows[n][k])
+        key = (n, k)
+        if key not in self._cells:
+            self._cells[key] = log_eta(n, k, self.params, self.spec).log_magnitude
+            self.quadrature_cells += 1
+        return self._cells[key]
 
     def log_row(self, n: int) -> np.ndarray:
         """Direct row access (index k, valid 1..n); table rows only."""
-        with self._lock:
-            if n > self._top:
-                raise KeyError(f"row {n} not in table (top is {self._top})")
-            return self._rows[n]
+        if n > self._top:
+            raise KeyError(f"row {n} not in table (top is {self._top})")
+        return self._rows[n]
 
 
 def predictive(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .specfun import QuadratureSpec
 from .tempered_stable import GGParams
-from .eppf import Composition, log_eppf
+from .eppf import Composition, EtaMemo, log_eppf
 from .blocks import BlockCountPmf
 
 __all__ = [
@@ -84,16 +84,24 @@ def exact_blocks_pmf(
     n: int,
     params: GGParams,
     spec: QuadratureSpec | None = None,
+    *,
+    eta: EtaMemo | None = None,
 ) -> BlockCountPmf:
-    """Pr(K_n = k) by summing the EPPF over every set partition of [n]."""
+    """Pr(K_n = k) by summing the EPPF over every set partition of [n].
+
+    Each eta(n, k) is read from eta, by default a memo without a table, so
+    every cell is one quadrature shared by all shapes with k blocks.
+    """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"n must lie in 1..{MAX_ENUMERATION_N}, got {n}")
+    if eta is None:
+        eta = EtaMemo(params, spec)
     cache: dict[tuple[int, ...], float] = {}
     sums: list[list[float]] = [[] for _ in range(n + 1)]
     for part in enumerate_set_partitions(n):
         shape = tuple(sorted(part.block_sizes, reverse=True))
         if shape not in cache:
-            cache[shape] = math.exp(log_eppf(Composition(shape), params, spec).log_magnitude)
+            cache[shape] = math.exp(log_eppf(Composition(shape), params, eta=eta).log_magnitude)
         sums[part.k].append(cache[shape])
     probs = tuple(math.fsum(sums[k]) for k in range(1, n + 1))
     return BlockCountPmf(n=n, probabilities=probs)

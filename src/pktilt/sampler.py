@@ -106,6 +106,26 @@ def sample_partition(
     return PartitionSample(n=n, labels=tuple(int(v) for v in labels), block_sizes=tuple(sizes))
 
 
+def _block_counts(
+    n: int,
+    params: GGParams,
+    replicates: int,
+    seed: int,
+    spec: QuadratureSpec | None,
+    eta: EtaMemo | None,
+) -> tuple[np.ndarray, EtaMemo]:
+    """K_n of replicates 0, ..., replicates - 1 of seed, and the eta table used."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if eta is None:
+        eta = EtaMemo(params, spec)
+    eta.ensure_rows(n)
+    k = np.empty(replicates, dtype=np.int64)
+    for r in range(replicates):
+        k[r] = len(sample_partition(n, params, _replicate_rng(seed, r), eta=eta).block_sizes)
+    return k, eta
+
+
 def monte_carlo_blocks(
     n: int,
     params: GGParams,
@@ -116,16 +136,8 @@ def monte_carlo_blocks(
     eta: EtaMemo | None = None,
 ) -> McReport:
     """Sample block counts and compare with the exact pmf in total variation."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if eta is None:
-        eta = EtaMemo(params, spec)
-    eta.ensure_rows(n)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for r in range(replicates):
-        rng = _replicate_rng(seed, r)
-        part = sample_partition(n, params, rng, eta=eta)
-        counts[len(part.block_sizes)] += 1
+    k, eta = _block_counts(n, params, replicates, seed, spec, eta)
+    counts = np.bincount(k, minlength=n + 1)
     empirical = tuple(float(c) / replicates for c in counts[1:])
     reference = blocks_pmf(n, params, spec, eta=eta).probabilities
     tv = 0.5 * math.fsum(abs(e - p) for e, p in zip(empirical, reference))
@@ -149,15 +161,5 @@ def empirical_diversity(
     eta: EtaMemo | None = None,
 ) -> np.ndarray:
     """Replicated draws of K_n / n^alpha (the finite-n diversity statistic)."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if eta is None:
-        eta = EtaMemo(params, spec)
-    eta.ensure_rows(n)
-    out = np.empty(replicates, dtype=float)
-    scale = float(n) ** params.alpha
-    for r in range(replicates):
-        rng = _replicate_rng(seed, r)
-        part = sample_partition(n, params, rng, eta=eta)
-        out[r] = len(part.block_sizes) / scale
-    return out
+    k, _ = _block_counts(n, params, replicates, seed, spec, eta)
+    return k / float(n) ** params.alpha

@@ -20,7 +20,7 @@ from pktilt.blocks import (
     stirling_explicit,
     stirling_table,
 )
-from pktilt.eppf import Composition, EtaMemo, _log_vnk_prefactor, log_eppf, log_eta
+from pktilt.eppf import Composition, EtaMemo, log_eppf, log_eta, log_eta_half_closed
 from pktilt.oracle import enumerate_set_partitions, exact_blocks_pmf
 from pktilt.sampler import empirical_diversity, monte_carlo_blocks
 from pktilt.specfun import QuadratureSpec, integrate_decaying, log_rising_factorial
@@ -50,15 +50,6 @@ def get_memo(params: GGParams, rows: int) -> EtaMemo:
     return memo
 
 
-def log_eppf_memo(shape: tuple[int, ...], params: GGParams, memo: EtaMemo) -> float:
-    n, k = sum(shape), len(shape)
-    return (
-        _log_vnk_prefactor(n, k, params)
-        + memo.log_eta(n, k)
-        + math.fsum(log_rising_factorial(1.0 - params.alpha, b - 1) for b in shape)
-    )
-
-
 @pytest.fixture(scope="module")
 def shape_counts():
     """shape_counts[n] maps a sorted block-size shape to the number of set
@@ -83,7 +74,7 @@ def test_criterion_01_eppf_normalization_full_grid(shape_counts):
         memo = get_memo(params, 8)
         for n in range(1, 9):
             total = math.fsum(
-                cnt * math.exp(log_eppf_memo(shape, params, memo))
+                cnt * log_eppf(Composition(shape), params, eta=memo).value
                 for shape, cnt in shape_counts[n].items()
             )
             worst = max(worst, abs(total - 1.0))
@@ -97,21 +88,20 @@ def test_criterion_01_eppf_normalization_full_grid(shape_counts):
 
 
 def test_criterion_02_eppf_additivity_full_grid(shape_counts):
+    # per-cell quadratures, not the recurrence table: on table rows the
+    # decomposition holds by construction
     worst = 0.0
     for params in FULL_GRID:
-        memo = get_memo(params, 9)
+        memo = EtaMemo(params)
         for n in range(1, 9):
             for shape in shape_counts[n]:
-                parent = math.exp(log_eppf_memo(shape, params, memo))
+                c = Composition(shape)
+                parent = log_eppf(c, params, eta=memo).value
                 kids = [
-                    math.exp(
-                        log_eppf_memo(
-                            shape[:j] + (shape[j] + 1,) + shape[j + 1:], params, memo
-                        )
-                    )
-                    for j in range(len(shape))
+                    log_eppf(c.with_increment(j), params, eta=memo).value
+                    for j in range(c.k)
                 ]
-                kids.append(math.exp(log_eppf_memo(shape + (1,), params, memo)))
+                kids.append(log_eppf(c.with_new_block(), params, eta=memo).value)
                 worst = max(worst, abs(math.fsum(kids) / parent - 1.0))
     assert worst <= 1e-8, f"worst additivity residual = {worst:.3e}"
     print(
@@ -126,8 +116,8 @@ def test_criterion_03_closed_form_vs_quadrature_eta():
         params = GGParams(0.5, delta, 1.0)
         for n in range(1, 13):
             for k in range(1, n + 1):
-                lc = log_eta(n, k, params, method="closed").log_magnitude
-                lq = log_eta(n, k, params, method="quadrature").log_magnitude
+                lc = log_eta_half_closed(n, k, params).log_magnitude
+                lq = log_eta(n, k, params).log_magnitude
                 worst = max(worst, abs(math.expm1(lq - lc)))
     assert worst <= 1e-8, f"worst closed/quadrature rel dev = {worst:.3e}"
     print(
@@ -145,7 +135,7 @@ def test_criterion_04_pd_alpha_zero_boundary(shape_counts):
             for n in range(1, 9):
                 for shape in shape_counts[n]:
                     k = len(shape)
-                    got = log_eppf_memo(shape, params, memo)
+                    got = log_eppf(Composition(shape), params, eta=memo).log_magnitude
                     ref = (
                         (k - 1) * math.log(alpha)
                         + math.lgamma(k)

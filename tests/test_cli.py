@@ -47,18 +47,6 @@ def test_eppf_json_envelope(capsys):
         assert c["passed"] is True
 
 
-def test_eppf_method_flag_consistency(capsys):
-    _, auto = run_json(capsys, ["eppf", *BASE, "--composition", "4,1"])
-    _, closed = run_json(
-        capsys, ["eppf", *BASE, "--composition", "4,1", "--method", "closed"]
-    )
-    _, quad = run_json(
-        capsys, ["eppf", *BASE, "--composition", "4,1", "--method", "quadrature"]
-    )
-    assert auto["log_p"] == pytest.approx(closed["log_p"], abs=1e-12)
-    assert auto["log_p"] == pytest.approx(quad["log_p"], abs=1e-8)
-
-
 def test_eppf_pd_oracle(capsys):
     argv = [
         "eppf", "--alpha", "0.75", "--delta", "2.0", "--gamma", "0.0",
@@ -117,6 +105,18 @@ def test_diversity_half_has_integral_check(capsys):
         math.exp(-0.25) / math.sqrt(math.pi), rel=1e-9
     )
     assert doc["notes"] == ["", "", ""]
+
+
+def test_diversity_underflowed_density(capsys):
+    # at s = 0.1 the tilt factor underflows the density to 0.0
+    argv = ["diversity", "--alpha", "0.25", "--delta", "1", "--gamma", "1",
+            "--s-grid", "0.1:6:60"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["density"][0] == 0.0 and doc["log_density"][0] is None
+    code, text = run_csv(capsys, argv)
+    assert code == 0
+    assert text.splitlines()[1] == "0.1,0.0,"
 
 
 def test_diversity_generic_alpha_degrades_honestly(capsys):
@@ -230,7 +230,7 @@ def test_bad_arguments_exit_two(capsys):
         ["diversity", *BASE, "--s", "-1.0"],                    # negative s
         ["diversity", *BASE],                                   # no s and no grid
         ["eppf", "--alpha", "0.25", "--delta", "1.0", "--gamma", "1.0",
-         "--composition", "2,1", "--method", "closed"],         # closed needs alpha 1/2
+         "--composition", "2,1", "--method", "closed"],         # unknown option
         ["nosuchcommand"],
     ]
     for argv in cases:

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from pktilt.eppf import (
-    CLOSED_FORM_MAX_N,
     Composition,
     EtaMemo,
     PredictiveDistribution,
-    closed_form_fallbacks,
     log_eppf,
     log_eta,
+    log_eta_half_closed,
     log_vnk,
     predictive,
 )
+from pktilt.sampler import sample_partition
 from pktilt.specfun import QuadratureSpec
 from pktilt.tempered_stable import GGParams
 
@@ -86,34 +86,36 @@ def test_eta_half_closed_vs_quadrature():
         p = GGParams(0.5, delta, 1.0)
         for n in range(1, 13):
             for k in range(1, n + 1):
-                c = log_eta(n, k, p, TIGHT, method="closed")
-                q = log_eta(n, k, p, TIGHT, method="quadrature")
+                c = log_eta_half_closed(n, k, p)
+                q = log_eta(n, k, p, TIGHT)
                 assert c.value == pytest.approx(q.value, rel=1e-9), (delta, n, k)
 
 
 def test_eta_method_validation():
     p = GGParams(0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
-        log_eta(2, 1, p, method="nope")
+        log_eta_half_closed(2, 1, GGParams(0.6, 1.0, 1.0))
     with pytest.raises(ValueError):
-        log_eta(2, 1, GGParams(0.6, 1.0, 1.0), method="closed")
+        log_eta_half_closed(2, 1, GGParams(0.5, 1.0, 0.0))
     with pytest.raises(ValueError):
-        log_eta(2, 1, GGParams(0.5, 1.0, 0.0), method="closed")
+        log_eta_half_closed(2, 3, p)
     with pytest.raises(ValueError):
         log_eta(0, 1, p)
     with pytest.raises(ValueError):
         log_eta(2, 3, p)
 
 
-def test_eta_auto_falls_back_beyond_closed_depth():
-    # above CLOSED_FORM_MAX_N auto must not attempt the closed form at all;
-    # inside the window a cancelled evaluation falls back and is counted
-    p = GGParams(0.5, 1.0, 1.0)
-    closed_form_fallbacks.reset()
-    v = log_eta(CLOSED_FORM_MAX_N + 8, 3, p)
-    assert v.sign == 1
-    q = log_eta(CLOSED_FORM_MAX_N + 8, 3, p, method="quadrature")
-    assert v.value == pytest.approx(q.value, rel=1e-9)
+@pytest.mark.parametrize(
+    "params",
+    [GGParams(0.02, 1.0, 1.0), GGParams(0.02, 1e-6, 1.0),
+     GGParams(0.05, 1e-6, 0.0), GGParams(0.05, 1e-6, 50.0)],
+)
+def test_small_alpha_quadrature_does_not_overflow(params):
+    # w = (u / delta)^(1/alpha) leaves float range at small alpha; the
+    # integrand is formed from log w alone
+    assert predictive(Composition((3, 2, 1)), params).total == pytest.approx(1.0, abs=1e-8)
+    part = sample_partition(12, params, np.random.default_rng(0))
+    assert sum(part.block_sizes) == 12
 
 
 def test_eta_monotone_in_k_when_tilt_exceeds_one():
@@ -198,6 +200,13 @@ def test_predictive_sums_to_one(params):
         assert pr.new_block > 0.0
 
 
+def test_predictive_sums_to_one_half_deep_composition():
+    # the alpha = 1/2 closed-form sum misses this total by 1.1e-8
+    p = GGParams(0.5, 0.873909, 1.68718)
+    pr = predictive(Composition((20, 5, 2, 1, 1)), p)
+    assert pr.total == pytest.approx(1.0, abs=1e-8)
+
+
 def test_predictive_weights_proportional_to_size_minus_alpha():
     p = GGParams(0.75, 1.0, 2.0)
     pr = predictive(Composition((4, 2, 1)), p)
@@ -233,7 +242,7 @@ def test_eta_memo_recurrence_matches_direct_quadrature():
     assert memo.quadrature_cells == 12  # one row of integrals seeds it all
     for n in range(1, 13):
         for k in range(1, n + 1):
-            direct = log_eta(n, k, p, TIGHT, method="quadrature")
+            direct = log_eta(n, k, p, TIGHT)
             assert memo.log_eta(n, k) == pytest.approx(
                 direct.log_magnitude, abs=1e-10
             ), (n, k)
@@ -244,10 +253,21 @@ def test_eta_memo_spot_check_deep_row():
     memo = EtaMemo(p)
     memo.ensure_rows(40)
     for k in (1, 7, 25, 40):
-        direct = log_eta(40, k, p, method="quadrature")
+        direct = log_eta(40, k, p)
         assert memo.log_eta(40, k) == pytest.approx(
             direct.log_magnitude, abs=1e-9
         ), k
+
+
+def test_eppf_reads_eta_from_a_shared_memo():
+    p = GGParams(0.6, 1.3, 0.8)
+    c = Composition((3, 1))
+    memo = EtaMemo(p, TIGHT)
+    lp = log_eppf(c, p, eta=memo)
+    lv = log_vnk(c.n, c.k, p, eta=memo)
+    assert memo.quadrature_cells == 1  # log_vnk reuses the EPPF's cell
+    assert lp.log_magnitude == pytest.approx(log_eppf(c, p, TIGHT).log_magnitude, abs=1e-12)
+    assert lv.log_magnitude == pytest.approx(log_vnk(c.n, c.k, p, TIGHT).log_magnitude, abs=1e-12)
 
 
 def test_eta_memo_log_row_bounds():
@@ -270,7 +290,7 @@ def test_eta_memo_extends_monotonically():
     # rebuilt from a deeper seed row: same value to quadrature accuracy
     assert again == pytest.approx(first, abs=1e-10)
     assert memo.log_eta(10, 3) == pytest.approx(
-        log_eta(10, 3, p, method="quadrature").log_magnitude, abs=1e-9
+        log_eta(10, 3, p).log_magnitude, abs=1e-9
     )
 
 
@@ -278,6 +298,6 @@ def test_eta_memo_off_table_cells_cached():
     p = GGParams(0.5, 1.0, 1.0)
     memo = EtaMemo(p)
     memo.ensure_rows(3)
-    v = memo.log_eta(7, 2)  # beyond the table: dispatched and cached
+    v = memo.log_eta(7, 2)  # beyond the table: integrated and cached
     assert v == pytest.approx(log_eta(7, 2, p).log_magnitude, abs=1e-10)
     assert memo.log_eta(7, 2) == v
