@@ -10,15 +10,8 @@ where S_alpha are generalized Stirling numbers,
     S_alpha(1, 1) = 1,
 
 all positive for alpha in (0, 1), so the recurrence runs cleanly in log
-scale. The explicit alternating sum
-
-    S_alpha(n, k) = (1 / alpha^k k!) sum_{j=1}^{k} (-1)^j C(k, j) (-j alpha)_n
-
-is kept as an independent audit route, evaluated in exact rational
-arithmetic because the float version cancels badly for large n. At
-alpha = 1/2 there is also the closed product form
-
-    S_{1/2}(n, k) = C(2n - k - 1, n - 1) Gamma(n) / Gamma(k) 2^(2k - 2n).
+scale. The explicit alternating sum and the alpha = 1/2 product form of
+S_alpha are audit routes, kept in pktilt.oracle.
 
 K_n / n^alpha converges a.s. to the alpha diversity S = delta 2^alpha T^(-alpha),
 where T is the tilted total mass (the constant delta 2^alpha is the scale of
@@ -31,32 +24,27 @@ stable density:
              f_stable(2 delta^(1/alpha) s^(-1/alpha))
              (2 delta^(1/alpha) / alpha) s^(-1/alpha - 1),
 
-with a closed form at alpha = 1/2, gamma = 1:
-
-    f_S(s) = (1 / sqrt(pi)) exp(delta - delta^2 / s^2 - s^2 / 4).
+whose closed form at alpha = 1/2, gamma = 1 is the oracle
+pktilt.oracle.diversity_density_half.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .specfun import LogValue, QuadratureSpec, log_binomial
-from .tempered_stable import GGParams, StableSeriesConfig, stable_density
-from .eppf import EtaMemo, _log_vnk_prefactor
+from .specfun import LogValue
+from .tempered_stable import GGParams, stable_density
+from .eppf import EtaMemo, _log_vnk_prefactor, _memo_for
 
 __all__ = [
     "StirlingTable",
     "stirling_table",
-    "stirling_explicit",
-    "bell_polynomial_half",
     "BlockCountPmf",
     "blocks_pmf",
     "diversity_density",
-    "diversity_density_half",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -101,45 +89,6 @@ def stirling_table(alpha: float, n_max: int) -> StirlingTable:
     return StirlingTable(alpha=alpha, n_max=n_max, _rows=tuple(rows))
 
 
-def stirling_explicit(alpha: float, n: int, k: int) -> float:
-    """Audit route: the explicit alternating sum for S_alpha(n, k).
-
-    The sum cancels catastrophically in floating point (the largest term can
-    exceed the result by many orders of magnitude), so it is evaluated in
-    exact rational arithmetic instead: every float alpha is a dyadic
-    rational, making each term C(k, j) (-j alpha)_n an exact Fraction. The
-    only rounding is the final conversion to float. Cost grows quickly with
-    n; intended as a small-to-moderate-n oracle, not a production path.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    a = Fraction(alpha)
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        # rising factorial (-j alpha)_n = prod_{i=0}^{n-1} (i - j alpha)
-        rf = Fraction(1)
-        for i in range(n):
-            rf *= i - j * a
-        if j % 2 == 1:
-            rf = -rf
-        total += math.comb(k, j) * rf
-    return float(total / (a**k * math.factorial(k)))
-
-
-def bell_polynomial_half(n: int, k: int) -> float:
-    """Closed product form of S_{1/2}(n, k)."""
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    return math.exp(
-        log_binomial(2 * n - k - 1, n - 1)
-        + math.lgamma(n)
-        - math.lgamma(k)
-        + (2 * k - 2 * n) * math.log(2.0)
-    )
-
-
 @dataclass(frozen=True)
 class BlockCountPmf:
     """Distribution of the number of blocks K_n; probabilities[k-1] = Pr(K_n = k)."""
@@ -159,26 +108,19 @@ class BlockCountPmf:
         return math.fsum((k + 1) * p for k, p in enumerate(self.probabilities))
 
 
-def blocks_pmf(
-    n: int,
-    params: GGParams,
-    spec: QuadratureSpec | None = None,
-    *,
-    eta: EtaMemo | None = None,
-    stirling: StirlingTable | None = None,
-) -> BlockCountPmf:
+def blocks_pmf(n: int, params: GGParams, *, eta: EtaMemo | None = None) -> BlockCountPmf:
     """Exact pmf of K_n via V_{n,k} and the Stirling recurrence.
 
-    The probabilities are not renormalized; summing to one is a nontrivial
-    identity and is left visible to tests.
+    eta, a memo for the same params, serves the eta table; by default a
+    fresh memo at the default quadrature tolerance. The probabilities are not
+    renormalized; summing to one is a nontrivial identity and is left
+    visible to tests.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if eta is None:
-        eta = EtaMemo(params, spec)
+    eta = _memo_for(params, eta)
     eta.ensure_rows(n)
-    if stirling is None or stirling.n_max < n or stirling.alpha != params.alpha:
-        stirling = stirling_table(params.alpha, n)
+    stirling = stirling_table(params.alpha, n)
     probs = []
     for k in range(1, n + 1):
         log_p = (
@@ -190,11 +132,7 @@ def blocks_pmf(
     return BlockCountPmf(n=n, probabilities=tuple(probs))
 
 
-def diversity_density(
-    params: GGParams,
-    s: float,
-    config: StableSeriesConfig | None = None,
-) -> float:
+def diversity_density(params: GGParams, s: float) -> float:
     """Density of the alpha diversity S = lim K_n / n^alpha at s > 0.
 
     Exact change of variables of the tilted stable density. For alpha != 1/2
@@ -206,16 +144,7 @@ def diversity_density(
         raise ValueError(f"s must be positive, got {s!r}")
     alpha, delta, gamma = params.alpha, params.delta, params.gamma
     t = 2.0 * delta ** (1.0 / alpha) * s ** (-1.0 / alpha)
-    f = stable_density(alpha, delta, t, config)
+    f = stable_density(alpha, delta, t)
     tilt = delta * gamma - (delta * gamma / s) ** (1.0 / alpha)
     jac = 2.0 * delta ** (1.0 / alpha) / (alpha * s ** (1.0 / alpha + 1.0))
     return math.exp(tilt) * f * jac
-
-
-def diversity_density_half(delta: float, s: float) -> float:
-    """Closed form of the diversity density at alpha = 1/2, gamma = 1."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s!r}")
-    return math.exp(delta - delta * delta / (s * s) - 0.25 * s * s) / math.sqrt(math.pi)

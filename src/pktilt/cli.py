@@ -4,8 +4,8 @@ Subcommands: eppf, predict, blocks, diversity, sample, validate. Every run
 echoes its parameters, tolerances and (where used) seed; JSON output is a
 single object, CSV is one row per grid point with a fixed header. Each
 command carries internal self-checks and the exit code is 0 iff they all
-pass. The default quadrature tolerance can be set through the
-PK_TILT_TOLERANCE environment variable.
+pass. --tolerance sets the quadrature tolerance; each handler reads eta
+through one EtaMemo built with it.
 """
 
 from __future__ import annotations
@@ -13,22 +13,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .specfun import CancellationError, QuadratureSpec, integrate_decaying, log_rising_factorial
-from .tempered_stable import DEFAULT_SERIES, GGParams
+from .specfun import (
+    CancellationError,
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    integrate_decaying,
+    log_rising_factorial,
+)
+from .tempered_stable import SERIES_CANCELLATION_GUARD, SERIES_TERM_TOLERANCE, GGParams
 from .eppf import Composition, EtaMemo, log_eppf, predictive
 from .blocks import blocks_pmf, diversity_density
 from .oracle import MAX_ENUMERATION_N, enumerate_set_partitions, exact_blocks_pmf
 from .sampler import _replicate_rng, monte_carlo_blocks, sample_partition
 
 __all__ = ["main", "build_parser"]
-
-_ENV_TOLERANCE = "PK_TILT_TOLERANCE"
 
 
 def _parse_composition(text: str) -> Composition:
@@ -66,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--delta", type=float, required=True, help="scale, positive")
     common.add_argument("--gamma", type=float, required=True, help="tilt, nonnegative")
     common.add_argument(
-        "--tolerance", type=float, default=None,
-        help=f"quadrature relative tolerance (default {_ENV_TOLERANCE} or 1e-10)",
+        "--tolerance", type=float, default=DEFAULT_QUADRATURE.relative_tolerance,
+        help="quadrature relative tolerance (default %(default)g)",
     )
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -110,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _quadrature_spec(args) -> QuadratureSpec:
-    tol = args.tolerance
-    if tol is None:
-        env = os.environ.get(_ENV_TOLERANCE)
-        tol = float(env) if env else 1e-10
-    return QuadratureSpec(relative_tolerance=tol)
-
-
 def _envelope(args, spec: QuadratureSpec, payload: dict, checks: list[dict]) -> dict:
     out = {
         "command": args.command,
@@ -125,8 +120,8 @@ def _envelope(args, spec: QuadratureSpec, payload: dict, checks: list[dict]) -> 
         "params": {"alpha": args.alpha, "delta": args.delta, "gamma": args.gamma},
         "tolerances": {
             "quadrature_relative_tolerance": spec.relative_tolerance,
-            "series_term_tolerance": DEFAULT_SERIES.term_tolerance,
-            "series_cancellation_guard": DEFAULT_SERIES.cancellation_guard,
+            "series_term_tolerance": SERIES_TERM_TOLERANCE,
+            "series_cancellation_guard": SERIES_CANCELLATION_GUARD,
         },
     }
     if hasattr(args, "seed"):
@@ -161,8 +156,8 @@ def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
     # one memo, no table: three quadratures serve the EPPF, V and the
     # predictive, whose additivity check stays independent of the recurrence
     eta = EtaMemo(params, spec)
-    lv = log_eppf(comp, params, spec, eta=eta)
-    lvnk = log_vnk(comp.n, comp.k, params, spec, eta=eta)
+    lv = log_eppf(comp, params, eta=eta)
+    lvnk = log_vnk(comp.n, comp.k, params, eta=eta)
     gibbs = [log_rising_factorial(1.0 - params.alpha, s - 1) for s in comp.block_sizes]
     payload = {
         "composition": list(comp.block_sizes),
@@ -174,7 +169,7 @@ def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
         "v": lvnk.value,
         "log_gibbs_factors": gibbs,
     }
-    pred = predictive(comp, params, spec, eta=eta)
+    pred = predictive(comp, params, eta=eta)
     checks = [_check("additivity_residual", abs(pred.total - 1.0), 1e-8)]
     if args.oracle == "pd":
         if params.gamma != 0.0:
@@ -197,7 +192,7 @@ def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
 
 def cmd_predict(args, params: GGParams, spec: QuadratureSpec):
     comp = None if args.empty else args.composition
-    pred = predictive(comp, params, spec)
+    pred = predictive(comp, params, eta=EtaMemo(params, spec))
     payload = {
         "composition": list(comp.block_sizes) if comp else [],
         "existing_weights": list(pred.existing),
@@ -228,7 +223,7 @@ def cmd_predict(args, params: GGParams, spec: QuadratureSpec):
 def cmd_blocks(args, params: GGParams, spec: QuadratureSpec):
     if args.n < 1:
         raise SystemExit("--n must be >= 1")
-    pmf = blocks_pmf(args.n, params, spec)
+    pmf = blocks_pmf(args.n, params, eta=EtaMemo(params, spec))
     logs = [math.log(p) if p > 0 else float("-inf") for p in pmf.probabilities]
     payload = {
         "n": args.n,
@@ -241,7 +236,8 @@ def cmd_blocks(args, params: GGParams, spec: QuadratureSpec):
     if args.oracle == "enum":
         if args.n > MAX_ENUMERATION_N:
             raise SystemExit(f"--oracle enum requires --n <= {MAX_ENUMERATION_N}")
-        exact = exact_blocks_pmf(args.n, params, spec)
+        # a memo without a table, so the check stays independent of the recurrence
+        exact = exact_blocks_pmf(args.n, params, eta=EtaMemo(params, spec))
         dev = max(abs(a - b) for a, b in zip(pmf.probabilities, exact.probabilities))
         payload["oracle_probabilities"] = list(exact.probabilities)
         checks.append(_check("enumeration_max_abs_deviation", dev, 1e-8))
@@ -344,11 +340,11 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
     table.ensure_rows(n_max)
     cells = EtaMemo(params, spec)
     for n in range(1, n_max + 1):
-        exact = exact_blocks_pmf(n, params, spec, eta=cells)
+        exact = exact_blocks_pmf(n, params, eta=cells)
         norm_res = abs(exact.total - 1.0)
         checks.append(_check(f"eppf_normalization_n{n}", norm_res, 1e-8))
         rows.append(f"eppf_normalization,n={n},{norm_res!r},1e-08,{norm_res <= 1e-8}")
-        fast = blocks_pmf(n, params, spec, eta=table)
+        fast = blocks_pmf(n, params, eta=table)
         dev = max(abs(a - b) for a, b in zip(fast.probabilities, exact.probabilities))
         checks.append(_check(f"blocks_vs_enumeration_n{n}", dev, 1e-8))
         rows.append(f"blocks_vs_enumeration,n={n},{dev!r},1e-08,{dev <= 1e-8}")
@@ -360,13 +356,15 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
         if shape in seen:
             continue
         seen.add(shape)
-        pred = predictive(Composition(shape), params, spec, eta=cells)
+        pred = predictive(Composition(shape), params, eta=cells)
         worst = max(worst, abs(pred.total - 1.0))
     checks.append(_check("predictive_additivity_worst", worst, 1e-8))
     rows.append(f"predictive_additivity,shapes<=6,{worst!r},1e-08,{worst <= 1e-8}")
     payload = {"n_max": n_max}
     if args.mc:
-        report = monte_carlo_blocks(args.mc_n, params, args.replicates, args.seed, spec=spec)
+        report = monte_carlo_blocks(
+            args.mc_n, params, args.replicates, args.seed, eta=EtaMemo(params, spec)
+        )
         payload["mc"] = {
             "n": report.n,
             "replicates": report.replicates,
@@ -397,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         params = GGParams(alpha=args.alpha, delta=args.delta, gamma=args.gamma)
-        spec = _quadrature_spec(args)
+        spec = QuadratureSpec(relative_tolerance=args.tolerance)
     except ValueError as exc:
         parser.error(str(exc))
     try:

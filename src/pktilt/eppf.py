@@ -12,7 +12,8 @@ with
 
 eta is evaluated by quadrature after the substitution u = delta w^alpha,
 which maps the domain to (delta gamma, inf) and makes the integrand
-exponentially decaying (handled by integrate_decaying). At alpha = 1/2,
+exponentially decaying (handled by integrate_decaying); at gamma > 0 the
+variable is the offset u - delta gamma, over (0, inf). At alpha = 1/2,
 gamma > 0 there is also a finite sum of upper incomplete gamma functions
 (substitution t = delta sqrt(gamma^2 + 2 lam) and a binomial expansion).
 The sum alternates and loses digits as n grows, so it is kept only as an
@@ -123,22 +124,36 @@ def _log_eta_quadrature(n: int, k: int, params: GGParams, spec: QuadratureSpec) 
     alpha, delta = params.alpha, params.delta
     u0 = delta * params.gamma
     c = k * alpha - n + 1.0 - alpha
-    log_delta = math.log(delta)
     # lam = (w - gamma^(1/alpha)) / 2 is taken in log scale, since w overflows
-    # at small alpha; log_gr is log w at u0, so log_gr <= log w on (u0, inf).
-    # The 2^(1-n) of lam^(n-1) is folded into log_norm.
-    log_gr = (math.log(u0) - log_delta) / alpha if u0 > 0.0 else -math.inf
+    # at small alpha. The 2^(1-n) of lam^(n-1) is folded into log_norm.
     log_norm = math.log(2.0 * alpha * delta) + (n - 1) * _LN2
+    if u0 == 0.0:
+        log_delta = math.log(delta)
 
-    def log_f(u: np.ndarray) -> np.ndarray:
-        logw = (np.log(u) - log_delta) / alpha
-        out = -u + c * logw - log_norm
+        def log_f(u: np.ndarray) -> np.ndarray:
+            logw = (np.log(u) - log_delta) / alpha
+            out = -u + c * logw - log_norm
+            if n > 1:
+                out = out + (n - 1) * logw
+            return out
+
+        return integrate_decaying(log_f, 0.0, spec).log_magnitude
+
+    # gamma > 0: integrate over the offset x = u - u0, so that
+    # d = log w - log gamma^(1/alpha) = log1p(x / u0) / alpha keeps its digits
+    # near the lower limit even when u0 is large; e^(-u0) leaves the integrand.
+    log_gr = (math.log(u0) - math.log(delta)) / alpha
+    const = (c + n - 1) * log_gr - log_norm
+
+    def log_f(x: np.ndarray) -> np.ndarray:
+        d = np.log1p(x / u0) / alpha
+        out = const - x + c * d
         if n > 1:
             with np.errstate(divide="ignore"):
-                out = out + (n - 1) * (logw + np.log(-np.expm1(log_gr - logw)))
+                out = out + (n - 1) * (d + np.log(-np.expm1(-d)))
         return out
 
-    return integrate_decaying(log_f, u0, spec).log_magnitude
+    return integrate_decaying(log_f, 0.0, spec).log_magnitude - u0
 
 
 def _validate_nk(n: int, k: int) -> None:
@@ -193,21 +208,13 @@ def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
     return LogValue.from_log((1 - n) * _LN2 - k * math.log(delta) + total.log_magnitude)
 
 
-def log_vnk(
-    n: int,
-    k: int,
-    params: GGParams,
-    spec: QuadratureSpec | None = None,
-    eta: EtaMemo | None = None,
-) -> LogValue:
+def log_vnk(n: int, k: int, params: GGParams, *, eta: EtaMemo | None = None) -> LogValue:
     """log of the Gibbs coefficient V_{n,k} as a LogValue.
 
-    eta, a memo for the same params, serves eta(n, k) when given.
+    eta, a memo for the same params, serves eta(n, k); by default a fresh
+    memo at the default quadrature tolerance.
     """
-    if eta is None:
-        le = log_eta(n, k, params, spec).log_magnitude
-    else:
-        le = eta.log_eta(n, k)
+    le = _memo_for(params, eta).log_eta(n, k)
     return LogValue.from_log(le + _log_vnk_prefactor(n, k, params))
 
 
@@ -221,21 +228,29 @@ def _log_vnk_prefactor(n: int, k: int, params: GGParams) -> float:
 
 
 def log_eppf(
-    composition: Composition,
-    params: GGParams,
-    spec: QuadratureSpec | None = None,
-    eta: EtaMemo | None = None,
+    composition: Composition, params: GGParams, *, eta: EtaMemo | None = None
 ) -> LogValue:
     """log EPPF value of an ordered composition of block sizes.
 
-    eta, a memo for the same params, serves eta(n, k) when given.
+    eta, a memo for the same params, serves eta(n, k); by default a fresh
+    memo at the default quadrature tolerance.
     """
     n, k = composition.n, composition.k
-    lv = log_vnk(n, k, params, spec, eta)
+    lv = log_vnk(n, k, params, eta=eta)
     w = math.fsum(
         log_rising_factorial(1.0 - params.alpha, s - 1) for s in composition.block_sizes
     )
     return lv.shifted(w)
+
+
+def _memo_for(params: GGParams, eta: EtaMemo | None) -> EtaMemo:
+    """The eta memo a consumer reads: eta itself, or a fresh memo at the
+    default quadrature tolerance. A memo for other params is an error."""
+    if eta is None:
+        return EtaMemo(params)
+    if eta.params != params:
+        raise ValueError(f"eta memo is for {eta.params}, not {params}")
+    return eta
 
 
 class EtaMemo:
@@ -244,7 +259,8 @@ class EtaMemo:
     ensure_rows(n_top) computes the top row by quadrature (n_top integrals)
     and fills every row below through the exact downward recurrence, giving
     the whole triangle for O(n_top) quadratures. Cells outside the table are
-    computed on demand by quadrature and cached.
+    computed on demand by quadrature and cached. spec, the quadrature
+    settings, reaches every eta consumer only through its memo.
     """
 
     def __init__(self, params: GGParams, spec: QuadratureSpec | None = None):
@@ -299,7 +315,7 @@ class EtaMemo:
 def predictive(
     composition: Composition | None,
     params: GGParams,
-    spec: QuadratureSpec | None = None,
+    *,
     eta: EtaMemo | None = None,
 ) -> PredictiveDistribution:
     """Seating weights for the next element given the current composition.
@@ -308,10 +324,9 @@ def predictive(
     block with probability one. Weights are eta ratios computed as log
     differences; they sum to one up to quadrature tolerance.
     """
+    eta = _memo_for(params, eta)
     if composition is None:
         return PredictiveDistribution(existing=(), new_block=1.0)
-    if eta is None:
-        eta = EtaMemo(params, spec)
     n, k = composition.n, composition.k
     le = eta.log_eta(n, k)
     le_same = eta.log_eta(n + 1, k)

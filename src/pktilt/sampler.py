@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import QuadratureSpec
 from .tempered_stable import GGParams
-from .eppf import EtaMemo
+from .eppf import EtaMemo, _memo_for
 from .blocks import blocks_pmf
 
 __all__ = [
@@ -70,13 +69,15 @@ def sample_partition(
     rng: np.random.Generator,
     *,
     eta: EtaMemo | None = None,
-    spec: QuadratureSpec | None = None,
 ) -> PartitionSample:
-    """Draw one partition of {1, ..., n} from the tilted stable partition model."""
+    """Draw one partition of {1, ..., n} from the tilted stable partition model.
+
+    eta, a memo for the same params, serves the eta table; by default a
+    fresh memo at the default quadrature tolerance.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if eta is None:
-        eta = EtaMemo(params, spec)
+    eta = _memo_for(params, eta)
     eta.ensure_rows(n)
     alpha, delta = params.alpha, params.delta
     labels = np.zeros(n, dtype=np.int64)
@@ -111,14 +112,12 @@ def _block_counts(
     params: GGParams,
     replicates: int,
     seed: int,
-    spec: QuadratureSpec | None,
     eta: EtaMemo | None,
 ) -> tuple[np.ndarray, EtaMemo]:
     """K_n of replicates 0, ..., replicates - 1 of seed, and the eta table used."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if eta is None:
-        eta = EtaMemo(params, spec)
+    eta = _memo_for(params, eta)
     eta.ensure_rows(n)
     k = np.empty(replicates, dtype=np.int64)
     for r in range(replicates):
@@ -132,14 +131,13 @@ def monte_carlo_blocks(
     replicates: int,
     seed: int,
     *,
-    spec: QuadratureSpec | None = None,
     eta: EtaMemo | None = None,
 ) -> McReport:
     """Sample block counts and compare with the exact pmf in total variation."""
-    k, eta = _block_counts(n, params, replicates, seed, spec, eta)
+    k, eta = _block_counts(n, params, replicates, seed, eta)
     counts = np.bincount(k, minlength=n + 1)
     empirical = tuple(float(c) / replicates for c in counts[1:])
-    reference = blocks_pmf(n, params, spec, eta=eta).probabilities
+    reference = blocks_pmf(n, params, eta=eta).probabilities
     tv = 0.5 * math.fsum(abs(e - p) for e, p in zip(empirical, reference))
     return McReport(
         n=n,
@@ -157,9 +155,8 @@ def empirical_diversity(
     replicates: int,
     seed: int,
     *,
-    spec: QuadratureSpec | None = None,
     eta: EtaMemo | None = None,
 ) -> np.ndarray:
     """Replicated draws of K_n / n^alpha (the finite-n diversity statistic)."""
-    k, _ = _block_counts(n, params, replicates, seed, spec, eta)
+    k, _ = _block_counts(n, params, replicates, seed, eta)
     return k / float(n) ** params.alpha

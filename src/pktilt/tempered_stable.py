@@ -23,8 +23,6 @@ from .specfun import CancellationError
 
 __all__ = [
     "GGParams",
-    "StableSeriesConfig",
-    "DEFAULT_SERIES",
     "stable_density_series",
     "stable_density_half",
     "stable_density",
@@ -70,24 +68,12 @@ class GGParams:
         return 0.5 * self.gamma_root
 
 
-@dataclass(frozen=True)
-class StableSeriesConfig:
-    """Controls for the stable-density series evaluation."""
-
-    term_tolerance: float = 1e-12
-    max_terms: int = 500
-    cancellation_guard: float = 1e6
-
-    def __post_init__(self):
-        if not (0.0 < self.term_tolerance < 1.0):
-            raise ValueError("term_tolerance must lie in (0, 1)")
-        if self.max_terms < 3:
-            raise ValueError("max_terms must be at least 3")
-        if self.cancellation_guard < 1.0:
-            raise ValueError("cancellation_guard must be >= 1")
-
-
-DEFAULT_SERIES = StableSeriesConfig()
+# stable-density series: stop once a term falls below SERIES_TERM_TOLERANCE
+# times the running sum, give up after SERIES_MAX_TERMS terms, and raise if
+# the largest term exceeds SERIES_CANCELLATION_GUARD times the sum
+SERIES_TERM_TOLERANCE = 1e-12
+SERIES_MAX_TERMS = 500
+SERIES_CANCELLATION_GUARD = 1e6
 
 
 def _validate_alpha_delta(alpha: float, delta: float) -> None:
@@ -97,12 +83,7 @@ def _validate_alpha_delta(alpha: float, delta: float) -> None:
         raise ValueError(f"delta must be positive, got {delta!r}")
 
 
-def stable_density_series(
-    alpha: float,
-    delta: float,
-    t: float,
-    config: StableSeriesConfig | None = None,
-) -> float:
+def stable_density_series(alpha: float, delta: float, t: float) -> float:
     """Density of the untilted stable law by its alternating series.
 
     f(t) = (1 / 2 pi) delta^(-1/alpha) sum_{xi>=1} (-1)^(xi-1) sin(xi pi alpha)
@@ -111,10 +92,9 @@ def stable_density_series(
     The series is an expansion in inverse powers of t: far from the origin it
     converges in a handful of terms, while for small t the alternating terms
     grow before they decay. If the largest intermediate term exceeds
-    cancellation_guard times the final sum (about 6 decimal digits lost) a
-    CancellationError is raised rather than returning digits of noise.
+    SERIES_CANCELLATION_GUARD times the final sum (about 6 decimal digits
+    lost) a CancellationError is raised rather than returning digits of noise.
     """
-    cfg = config or DEFAULT_SERIES
     _validate_alpha_delta(alpha, delta)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
@@ -126,7 +106,7 @@ def stable_density_series(
     prev_mag = math.inf
     nonzero = 0
     converged = False
-    for xi in range(1, cfg.max_terms + 1):
+    for xi in range(1, SERIES_MAX_TERMS + 1):
         # sin(pi alpha xi) with argument reduction: exact zeros whenever
         # alpha xi lands on an integer (every even xi at alpha = 1/2)
         m = alpha * xi
@@ -147,18 +127,18 @@ def stable_density_series(
         run += term
         nonzero += 1
         max_mag = max(max_mag, mag)
-        if nonzero >= 3 and mag <= cfg.term_tolerance * max(abs(run), 1e-300) and mag <= prev_mag:
+        if nonzero >= 3 and mag <= SERIES_TERM_TOLERANCE * max(abs(run), 1e-300) and mag <= prev_mag:
             converged = True
             break
         prev_mag = mag
     if not converged:
         raise CancellationError(
-            f"series did not reach term tolerance within {cfg.max_terms} terms at t={t}"
+            f"series did not reach term tolerance within {SERIES_MAX_TERMS} terms at t={t}"
         )
     total = math.fsum(terms)
     if max_mag == 0.0:
         return 0.0
-    if total <= 0.0 or max_mag > cfg.cancellation_guard * total:
+    if total <= 0.0 or max_mag > SERIES_CANCELLATION_GUARD * total:
         raise CancellationError(
             f"series cancellation beyond guard at t={t}: "
             f"max term {max_mag:.3e} vs sum {total:.3e}"
@@ -176,28 +156,19 @@ def stable_density_half(delta: float, t: float) -> float:
     return delta / _SQRT_2PI * t ** -1.5 * math.exp(-delta * delta / (2.0 * t))
 
 
-def stable_density(
-    alpha: float,
-    delta: float,
-    t: float,
-    config: StableSeriesConfig | None = None,
-) -> float:
+def stable_density(alpha: float, delta: float, t: float) -> float:
     """Untilted stable density; dispatches to the closed form at alpha = 1/2."""
     if alpha == 0.5:
         return stable_density_half(delta, t)
-    return stable_density_series(alpha, delta, t, config)
+    return stable_density_series(alpha, delta, t)
 
 
-def tempered_density(
-    params: GGParams,
-    t: float,
-    config: StableSeriesConfig | None = None,
-) -> float:
+def tempered_density(params: GGParams, t: float) -> float:
     """Tilted density exp(delta gamma - (1/2) gamma^(1/alpha) t) f_stable(t)."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
     tilt = params.delta * params.gamma - params.tilt_rate * t
-    return math.exp(tilt) * stable_density(params.alpha, params.delta, t, config)
+    return math.exp(tilt) * stable_density(params.alpha, params.delta, t)
 
 
 def ig_density(delta: float, gamma: float, t):

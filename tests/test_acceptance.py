@@ -12,16 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from pktilt.blocks import (
-    bell_polynomial_half,
-    blocks_pmf,
-    diversity_density,
-    diversity_density_half,
-    stirling_explicit,
-    stirling_table,
-)
+from pktilt.blocks import blocks_pmf, diversity_density, stirling_table
 from pktilt.eppf import Composition, EtaMemo, log_eppf, log_eta, log_eta_half_closed
-from pktilt.oracle import enumerate_set_partitions, exact_blocks_pmf
+from pktilt.oracle import (
+    bell_polynomial_half,
+    diversity_density_half,
+    enumerate_set_partitions,
+    exact_blocks_pmf,
+    stirling_explicit,
+)
 from pktilt.sampler import empirical_diversity, monte_carlo_blocks
 from pktilt.specfun import QuadratureSpec, integrate_decaying, log_rising_factorial
 from pktilt.tempered_stable import (
@@ -198,9 +197,8 @@ def test_criterion_06_blocks_pmf_enumeration_and_normalization():
     worst_total = 0.0
     for params in FULL_GRID:
         memo = get_memo(params, 30)
-        tab = stirling_table(params.alpha, 30)
         for n in range(1, 31):
-            pmf = blocks_pmf(n, params, eta=memo, stirling=tab)
+            pmf = blocks_pmf(n, params, eta=memo)
             worst_total = max(worst_total, abs(pmf.total - 1.0))
     assert worst_total <= 1e-8, f"worst pmf sum residual = {worst_total:.3e}"
     print(
@@ -250,6 +248,7 @@ def test_criterion_07_sampler_path_probability_exactness():
     ]:
         memo = EtaMemo(params, spec)
         memo.ensure_rows(6)
+        cells = EtaMemo(params, spec)  # no table: the EPPF side is per-cell quadrature
         cache: dict[tuple[int, ...], float] = {}
         for n in range(1, 6):
             total = []
@@ -258,7 +257,7 @@ def test_criterion_07_sampler_path_probability_exactness():
                 shape = tuple(sorted(part.block_sizes, reverse=True))
                 if shape not in cache:
                     cache[shape] = log_eppf(
-                        Composition(shape), params, spec
+                        Composition(shape), params, eta=cells
                     ).log_magnitude
                 worst = max(worst, abs(math.expm1(lp - cache[shape])))
                 total.append(math.exp(lp))
@@ -326,11 +325,10 @@ def test_criterion_09_diversity_density_and_convergence():
     def analytic_cdf(x):
         return np.interp(x, s_grid, cdf)
 
-    tab = stirling_table(0.5, 3200)
     exact_ks = []
     empirical_ks = []
     for n in (200, 800, 3200):
-        pmf = blocks_pmf(n, params, eta=memo, stirling=tab)
+        pmf = blocks_pmf(n, params, eta=memo)
         scale = math.sqrt(n)
         cum = 0.0
         ks = 0.0

@@ -14,17 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from pktilt.blocks import (
-    BlockCountPmf,
-    bell_polynomial_half,
-    blocks_pmf,
-    diversity_density,
-    diversity_density_half,
-    stirling_explicit,
-    stirling_table,
-)
+from pktilt.blocks import BlockCountPmf, blocks_pmf, diversity_density, stirling_table
 from pktilt.eppf import EtaMemo
-from pktilt.oracle import exact_blocks_pmf
+from pktilt.oracle import (
+    bell_polynomial_half,
+    diversity_density_half,
+    exact_blocks_pmf,
+    stirling_explicit,
+)
 from pktilt.specfun import CancellationError, QuadratureSpec, integrate_decaying
 from pktilt.tempered_stable import GGParams
 
@@ -134,7 +131,7 @@ def test_blocks_pmf_reuses_supplied_tables():
     eta = EtaMemo(params)
     eta.ensure_rows(12)
     cells_before = eta.quadrature_cells
-    pmf = blocks_pmf(12, params, eta=eta, stirling=stirling_table(0.5, 12))
+    pmf = blocks_pmf(12, params, eta=eta)
     assert eta.quadrature_cells == cells_before  # no extra integrals
     assert pmf.total == pytest.approx(1.0, abs=1e-10)
 

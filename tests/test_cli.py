@@ -209,11 +209,7 @@ def test_out_file(tmp_path, capsys):
     assert doc["command"] == "blocks"
 
 
-def test_tolerance_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("PK_TILT_TOLERANCE", "1e-6")
-    _, doc = run_json(capsys, ["eppf", *BASE, "--composition", "2,1"])
-    assert doc["tolerances"]["quadrature_relative_tolerance"] == 1e-6
-    # explicit flag wins over the environment
+def test_tolerance_flag(capsys):
     _, doc = run_json(
         capsys, ["eppf", *BASE, "--composition", "2,1", "--tolerance", "1e-9"]
     )

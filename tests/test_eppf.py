@@ -22,7 +22,9 @@ from pktilt.eppf import (
     log_vnk,
     predictive,
 )
-from pktilt.sampler import sample_partition
+from pktilt.blocks import blocks_pmf
+from pktilt.oracle import exact_blocks_pmf
+from pktilt.sampler import empirical_diversity, monte_carlo_blocks, sample_partition
 from pktilt.specfun import QuadratureSpec
 from pktilt.tempered_stable import GGParams
 
@@ -108,11 +110,14 @@ def test_eta_method_validation():
 @pytest.mark.parametrize(
     "params",
     [GGParams(0.02, 1.0, 1.0), GGParams(0.02, 1e-6, 1.0),
-     GGParams(0.05, 1e-6, 0.0), GGParams(0.05, 1e-6, 50.0)],
+     GGParams(0.05, 1e-6, 0.0), GGParams(0.05, 1e-6, 50.0),
+     GGParams(0.02, 1e6, 50.0), GGParams(0.05, 1e6, 50.0), GGParams(0.1, 1e6, 50.0)],
 )
 def test_small_alpha_quadrature_does_not_overflow(params):
     # w = (u / delta)^(1/alpha) leaves float range at small alpha; the
-    # integrand is formed from log w alone
+    # integrand is formed from log w alone. At delta gamma = 5e7 the gap
+    # log w - log gamma^(1/alpha) near the lower limit must come from the
+    # offset u - delta gamma: two nearly equal logs keep no digits of it
     assert predictive(Composition((3, 2, 1)), params).total == pytest.approx(1.0, abs=1e-8)
     part = sample_partition(12, params, np.random.default_rng(0))
     assert sum(part.block_sizes) == 12
@@ -134,7 +139,9 @@ def test_eta_monotone_in_k_when_tilt_exceeds_one():
 
 @pytest.mark.parametrize("params", PARAM_GRID)
 def test_v_1_1_is_one(params):
-    assert log_vnk(1, 1, params, TIGHT).value == pytest.approx(1.0, rel=1e-10)
+    assert log_vnk(1, 1, params, eta=EtaMemo(params, TIGHT)).value == pytest.approx(
+        1.0, rel=1e-10
+    )
 
 
 def test_eppf_symmetric_in_block_order():
@@ -147,12 +154,13 @@ def test_eppf_symmetric_in_block_order():
 def test_eppf_additivity_small_compositions():
     # p(sizes) = sum_j p(sizes with block j grown) + p(sizes + new singleton)
     for p in PARAM_GRID:
+        memo = EtaMemo(p, TIGHT)  # no table: every cell is its own quadrature
         for sizes in [(1,), (2,), (1, 1), (3, 1), (2, 2, 1), (4, 2, 1)]:
             c = Composition(sizes)
-            lhs = log_eppf(c, p, TIGHT).value
+            lhs = log_eppf(c, p, eta=memo).value
             rhs = math.fsum(
-                log_eppf(c.with_increment(j), p, TIGHT).value for j in range(c.k)
-            ) + log_eppf(c.with_new_block(), p, TIGHT).value
+                log_eppf(c.with_increment(j), p, eta=memo).value for j in range(c.k)
+            ) + log_eppf(c.with_new_block(), p, eta=memo).value
             assert rhs == pytest.approx(lhs, rel=1e-9), (p.alpha, sizes)
 
 
@@ -171,7 +179,8 @@ def test_eppf_pd_boundary_gamma_zero():
                 )
             )
             for delta in (0.5, 2.0):
-                got = log_eppf(Composition(sizes), GGParams(alpha, delta, 0.0), TIGHT)
+                p = GGParams(alpha, delta, 0.0)
+                got = log_eppf(Composition(sizes), p, eta=EtaMemo(p, TIGHT))
                 assert got.log_magnitude == pytest.approx(ref, abs=1e-9), (
                     alpha,
                     delta,
@@ -222,12 +231,13 @@ def test_predictive_matches_eppf_ratios():
     # the chance of joining block j must equal p(grown) / p(current)
     p = GGParams(0.5, 1.0, 1.0)
     c = Composition((3, 1))
-    pr = predictive(c, p, TIGHT)
-    base = log_eppf(c, p, TIGHT)
+    memo = EtaMemo(p, TIGHT)
+    pr = predictive(c, p, eta=memo)
+    base = log_eppf(c, p, eta=memo)
     for j in range(c.k):
-        ratio = (log_eppf(c.with_increment(j), p, TIGHT) / base).value
+        ratio = (log_eppf(c.with_increment(j), p, eta=memo) / base).value
         assert pr.existing[j] == pytest.approx(ratio, rel=1e-10)
-    ratio_new = (log_eppf(c.with_new_block(), p, TIGHT) / base).value
+    ratio_new = (log_eppf(c.with_new_block(), p, eta=memo) / base).value
     assert pr.new_block == pytest.approx(ratio_new, rel=1e-10)
 
 
@@ -266,8 +276,33 @@ def test_eppf_reads_eta_from_a_shared_memo():
     lp = log_eppf(c, p, eta=memo)
     lv = log_vnk(c.n, c.k, p, eta=memo)
     assert memo.quadrature_cells == 1  # log_vnk reuses the EPPF's cell
-    assert lp.log_magnitude == pytest.approx(log_eppf(c, p, TIGHT).log_magnitude, abs=1e-12)
-    assert lv.log_magnitude == pytest.approx(log_vnk(c.n, c.k, p, TIGHT).log_magnitude, abs=1e-12)
+    fresh_p = log_eppf(c, p, eta=EtaMemo(p, TIGHT))
+    fresh_v = log_vnk(c.n, c.k, p, eta=EtaMemo(p, TIGHT))
+    assert lp.log_magnitude == pytest.approx(fresh_p.log_magnitude, abs=1e-12)
+    assert lv.log_magnitude == pytest.approx(fresh_v.log_magnitude, abs=1e-12)
+
+
+ETA_CONSUMERS = {
+    "log_vnk": lambda p, eta: log_vnk(3, 2, p, eta=eta),
+    "log_eppf": lambda p, eta: log_eppf(Composition((2, 1)), p, eta=eta),
+    "predictive": lambda p, eta: predictive(Composition((3, 2)), p, eta=eta),
+    "predictive_empty": lambda p, eta: predictive(None, p, eta=eta),
+    "blocks_pmf": lambda p, eta: blocks_pmf(10, p, eta=eta),
+    "sample_partition": lambda p, eta: sample_partition(
+        10, p, np.random.default_rng(0), eta=eta
+    ),
+    "monte_carlo_blocks": lambda p, eta: monte_carlo_blocks(10, p, 5, 0, eta=eta),
+    "empirical_diversity": lambda p, eta: empirical_diversity(10, p, 5, 0, eta=eta),
+    "exact_blocks_pmf": lambda p, eta: exact_blocks_pmf(4, p, eta=eta),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ETA_CONSUMERS))
+def test_eta_memo_for_other_params_is_rejected(name):
+    memo = EtaMemo(GGParams(0.5, 1.0, 1.0))
+    with pytest.raises(ValueError, match="eta memo"):
+        ETA_CONSUMERS[name](GGParams(0.3, 1.0, 1.0), memo)
+    assert memo.quadrature_cells == 0
 
 
 def test_eta_memo_log_row_bounds():

@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
+import pktilt.tempered_stable as ts
 from pktilt.specfun import CancellationError, QuadratureSpec, integrate_decaying
 from pktilt.tempered_stable import (
     GGParams,
-    StableSeriesConfig,
     ig_density,
     laplace_exponent,
     levy_density,
@@ -70,11 +70,12 @@ def test_series_raises_in_cancellation_region():
         stable_density_series(0.5, 1.0, 0.05)
 
 
-def test_series_strict_config():
-    cfg = StableSeriesConfig(term_tolerance=1e-6, max_terms=4, cancellation_guard=1e6)
-    with pytest.raises(CancellationError):
+def test_series_strict_config(monkeypatch):
+    monkeypatch.setattr(ts, "SERIES_TERM_TOLERANCE", 1e-6)
+    monkeypatch.setattr(ts, "SERIES_MAX_TERMS", 4)
+    with pytest.raises(CancellationError, match="did not reach term tolerance"):
         # 4 terms cannot resolve the density this far into the tail region
-        stable_density_series(0.7, 1.0, 0.9, cfg)
+        stable_density_series(0.7, 1.0, 0.9)
 
 
 def test_stable_density_dispatch():
