@@ -6,9 +6,13 @@ The EPPF has Gibbs form
 
 with
 
-    V_{n,k} = e^(delta gamma) delta^k alpha^k 2^n / Gamma(n) * eta(n, k),
-    eta(n, k) = int_0^inf lam^(n-1) e^(-delta w^alpha) w^(k alpha - n) dlam,
+    V_{n,k} = delta^k alpha^k 2^n / Gamma(n) * eta(n, k),
+    eta(n, k) = int_0^inf lam^(n-1) e^(-delta (w^alpha - gamma)) w^(k alpha - n) dlam,
     w = gamma^(1/alpha) + 2 lam.
+
+The tilt factor e^(delta gamma) sits inside eta, so eta(1, 1) = 1 / (2 alpha
+delta) for every gamma, and no stored log eta carries a term -delta gamma
+that would round it to the float spacing of delta gamma.
 
 eta is evaluated by quadrature after the substitution u = delta w^alpha,
 which maps the domain to (delta gamma, inf) and makes the integrand
@@ -141,7 +145,8 @@ def _log_eta_quadrature(n: int, k: int, params: GGParams, spec: QuadratureSpec) 
 
     # gamma > 0: integrate over the offset x = u - u0, so that
     # d = log w - log gamma^(1/alpha) = log1p(x / u0) / alpha keeps its digits
-    # near the lower limit even when u0 is large; e^(-u0) leaves the integrand.
+    # near the lower limit even when u0 is large. The tilt factor e^(u0) of
+    # eta cancels e^(-u0) exactly, so neither enters in floating point.
     log_gr = (math.log(u0) - math.log(delta)) / alpha
     const = (c + n - 1) * log_gr - log_norm
 
@@ -153,7 +158,7 @@ def _log_eta_quadrature(n: int, k: int, params: GGParams, spec: QuadratureSpec) 
                 out = out + (n - 1) * (d + np.log(-np.expm1(-d)))
         return out
 
-    return integrate_decaying(log_f, 0.0, spec).log_magnitude - u0
+    return integrate_decaying(log_f, 0.0, spec).log_magnitude
 
 
 def _validate_nk(n: int, k: int) -> None:
@@ -174,8 +179,8 @@ def log_eta(n: int, k: int, params: GGParams, spec: QuadratureSpec | None = None
 def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
     """Oracle for log eta(n, k) at alpha = 1/2, gamma > 0:
 
-        eta(n, k) = 2^(1-n) delta^(-k) sum_i C(n-1, i) (-1)^(n-1-i)
-                    (delta gamma)^(2(n-1-i)) Gamma(k-2n+2+2i; delta gamma).
+        eta(n, k) = 2^(1-n) delta^(-k) e^(delta gamma) sum_i C(n-1, i)
+                    (-1)^(n-1-i) (delta gamma)^(2(n-1-i)) Gamma(k-2n+2+2i; delta gamma).
 
     The sum alternates; CancellationError is raised once it loses more than
     six digits, which happens as n grows.
@@ -205,7 +210,7 @@ def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
         raise CancellationError(
             f"closed-form eta lost {loss:.1f} digits at n={n}, k={k}"
         )
-    return LogValue.from_log((1 - n) * _LN2 - k * math.log(delta) + total.log_magnitude)
+    return LogValue.from_log(x + (1 - n) * _LN2 - k * math.log(delta) + total.log_magnitude)
 
 
 def log_vnk(n: int, k: int, params: GGParams, *, eta: EtaMemo | None = None) -> LogValue:
@@ -220,8 +225,7 @@ def log_vnk(n: int, k: int, params: GGParams, *, eta: EtaMemo | None = None) -> 
 
 def _log_vnk_prefactor(n: int, k: int, params: GGParams) -> float:
     return (
-        params.delta * params.gamma
-        + k * (math.log(params.delta) + math.log(params.alpha))
+        k * (math.log(params.delta) + math.log(params.alpha))
         + n * _LN2
         - math.lgamma(n)
     )

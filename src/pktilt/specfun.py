@@ -4,6 +4,11 @@ integrands supplied in log scale.
 
 Everything downstream (EPPF weights, Gibbs coefficients, block-count laws)
 does its arithmetic through LogValue and exponentiates only at the boundary.
+
+integrate_decaying brackets its integrand from array scans only, zooming in
+on the peak until both neighbours of the best point are within 1 nat of it.
+It never returns a non-finite value: a peak unresolved at float resolution,
+or a total that is not finite after rescaling, raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -302,19 +307,19 @@ def upper_incomplete_gamma(a: float, x: float) -> LogValue:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for integrate_decaying."""
+    """The relative tolerance integrate_decaying certifies."""
 
     relative_tolerance: float = 1e-10
-    max_subdivisions: int = 2 ** 15
 
     def __post_init__(self):
         if not (0.0 < self.relative_tolerance < 1.0):
             raise ValueError(f"relative_tolerance must be in (0, 1), got {self.relative_tolerance!r}")
-        if not (isinstance(self.max_subdivisions, (int, np.integer)) and self.max_subdivisions >= 1):
-            raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+
+# core Gauss-Kronrod splits allowed per integral
+MAX_SUBDIVISIONS = 2 ** 15
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]; nodes sorted, the
 # Gauss subset sits at the odd indices.
@@ -360,87 +365,55 @@ def _panel(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[
     return ik, err
 
 
-def _locate_peak(log_f, lower: float) -> tuple[float, float]:
+def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]:
+    # the scanned maximum of log f and the points a <= left <= peak <= right
+    # <= b: the peak, its scanned neighbours, and the cut points where log f
+    # has fallen by cut, all read off array scans of offsets from lower
     scale = max(1.0, abs(lower))
     hi = 1e10 * scale
-    lo = 1e-12 * scale
-    for _ in range(44):
-        g = np.geomspace(lo, hi, 131)
+    while True:
+        g = np.geomspace(1e-12 * scale, hi, 131)
         v = _eval_log(log_f, lower + g)
-        if not np.any(v > _NEG_INF):
-            if hi >= 1e250:
-                return lower, _NEG_INF
-            hi = min(hi * 1e6, 1e250)
-            continue
         i = int(np.argmax(v))
-        if i == len(g) - 1:
-            if hi >= 1e250:
-                raise QuadratureError("integrand still rising at offset 1e250; not decaying")
-            hi = min(hi * 1e6, 1e250)
-            continue
-        break
-    else:
-        raise QuadratureError("could not bracket the integrand's peak")
-
-    ylo = math.log(g[max(i - 1, 0)])
-    yhi = math.log(g[min(i + 1, len(g) - 1)])
-
-    def phi(y: float) -> float:
-        return float(_eval_log(log_f, np.array([lower + math.exp(y)]))[0])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    y1 = yhi - invphi * (yhi - ylo)
-    y2 = ylo + invphi * (yhi - ylo)
-    f1, f2 = phi(y1), phi(y2)
-    for _ in range(48):
-        if f1 >= f2:
-            yhi, y2, f2 = y2, y1, f1
-            y1 = yhi - invphi * (yhi - ylo)
-            f1 = phi(y1)
-        else:
-            ylo, y1, f1 = y1, y2, f2
-            y2 = ylo + invphi * (yhi - ylo)
-            f2 = phi(y2)
-    ybest, fbest = (y1, f1) if f1 >= f2 else (y2, f2)
-    return lower + math.exp(ybest), fbest
-
-
-def _cut_right(log_f, tpeak: float, lower: float, target: float) -> float:
-    scale = max(1.0, abs(lower))
-    h = max(tpeak - lower, 1e-9 * scale)
-    t = tpeak + h
-    for _ in range(2000):
-        if float(_eval_log(log_f, np.array([t]))[0]) <= target:
+        if v[i] > _NEG_INF and i < len(g) - 1:
             break
-        h *= 2.0
-        t = tpeak + h
-        if t > 1e290:
+        if hi >= 1e250:
+            if v[i] == _NEG_INF:
+                return _NEG_INF, (lower,)
+            raise QuadratureError("integrand still rising at offset 1e250; not decaying")
+        hi = min(hi * 1e6, 1e250)
+
+    # zoom in between the neighbours of the best point until both are
+    # within 1 nat of it, so that the true maximum is not far above it
+    offsets, values = [g], [v]
+    while True:
+        left, right = max(i - 1, 0), min(i + 1, len(g) - 1)
+        if v[i] - min(v[left], v[right]) <= 1.0:
+            break
+        g_lo, g_hi = g[left], g[right]
+        if g_hi - g_lo < 64.0 * np.spacing(lower + g_hi):
+            raise QuadratureError(
+                f"peak near t = {float(lower + g[i]):.17g} unresolved at float resolution"
+            )
+        g = np.geomspace(g_lo, g_hi, 65)
+        v = _eval_log(log_f, lower + g)
+        i = int(np.argmax(v))
+        offsets.append(g)
+        values.append(v)
+    peak, m_log = float(g[i]), float(v[i])
+    near = (float(g[left]), peak, float(g[right]))
+
+    # cut points: the nearest scanned offsets at or below the cut level
+    g, v = np.concatenate(offsets), np.concatenate(values)
+    below = v <= m_log - cut
+    a = float(np.max(g[below & (g < peak)], initial=0.0))
+    beyond = g[below & (g > peak)]
+    if beyond.size == 0:
+        g = np.geomspace(hi, 1e290, 281)
+        beyond = g[_eval_log(log_f, lower + g) <= m_log - cut]
+        if beyond.size == 0:
             raise QuadratureError("integrand does not fall below the cut level; not decaying")
-    else:
-        raise QuadratureError("right cut search failed")
-    lo_t, hi_t = tpeak, t
-    for _ in range(48):
-        mid = 0.5 * (lo_t + hi_t)
-        if float(_eval_log(log_f, np.array([mid]))[0]) > target:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return hi_t
-
-
-def _cut_left(log_f, tpeak: float, lower: float, target: float) -> float:
-    scale = max(1.0, abs(lower))
-    eps0 = min(1e-12 * scale, (tpeak - lower) * 1e-9)
-    if eps0 <= 0 or float(_eval_log(log_f, np.array([lower + eps0]))[0]) > target:
-        return lower
-    lo_t, hi_t = lower + eps0, tpeak
-    for _ in range(48):
-        mid = 0.5 * (lo_t + hi_t)
-        if float(_eval_log(log_f, np.array([mid]))[0]) > target:
-            hi_t = mid
-        else:
-            lo_t = mid
-    return lo_t
+    return m_log, tuple(lower + t for t in (a, *near, float(np.min(beyond))))
 
 
 def integrate_decaying(
@@ -453,30 +426,41 @@ def integrate_decaying(
 
     log_f must accept a 1-D float array and return log-integrand values
     (-inf where the integrand vanishes). The integrand is assumed to have a
-    single dominant peak (possibly at the boundary); the engine locates it,
-    rescales by the maximum, brackets the region above max - D in log scale,
-    runs adaptive 15-point Gauss-Kronrod there, and sweeps the tails with
-    geometrically growing (right) and shrinking (left) panels until their
-    contributions are negligible. Raises QuadratureError if the requested
-    relative tolerance cannot be certified within the subdivision budget.
+    single dominant peak (possibly at the boundary). A 131-point geometric
+    scan of offsets t - lower from 1e-12 out to 1e10 (extended up to 1e250
+    while the integrand still rises) finds it. 65-point geometric zooms
+    between the neighbours of the best point repeat until both neighbours
+    are within 1 nat of it, which takes about a dozen zooms at most. The
+    engine rescales by that maximum and takes as the bracket [a, b] the
+    nearest scanned offsets on each side where log f is at least D below it;
+    a heavy right tail gets one more scan out to 1e290. It then runs
+    adaptive 15-point Gauss-Kronrod on [a, b], seeded at the peak and its
+    scanned neighbours, and sweeps the tails with geometrically growing (right) and shrinking (left)
+    panels until their contributions are negligible.
+
+    Raises QuadratureError for an integrand that does not decay, for a peak
+    still unresolved when the zoom interval reaches float resolution (a
+    spike narrower than the float spacing, or a jump at the maximum), for a
+    total or error estimate that is not finite, or if the requested relative
+    tolerance cannot be certified within MAX_SUBDIVISIONS core splits.
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
     rtol = spec.relative_tolerance
 
-    tpeak, m_log = _locate_peak(log_f, lower)
+    cut = max(45.0, -math.log(rtol) + 30.0)
+    m_log, seeds = _bracket(log_f, lower, cut)
     if m_log == _NEG_INF:
         return LogValue.zero()
+    a, b = seeds[0], seeds[-1]
 
     def fn(x: np.ndarray) -> np.ndarray:
         return np.exp(_eval_log(log_f, x) - m_log)
 
-    cut = max(45.0, -math.log(rtol) + 30.0)
-    b = _cut_right(log_f, tpeak, lower, m_log - cut)
-    a = _cut_left(log_f, tpeak, lower, m_log - cut)
-
-    # core: adaptive GK on [a, b], seeded with panels split at the peak
-    edges = sorted({a, b, tpeak} | {a + (b - a) * j / 8.0 for j in range(1, 8)})
+    # core: adaptive GK on [a, b], seeded with panels split at the peak and
+    # at its scanned neighbours, so that a kink at the true maximum lies
+    # inside a panel narrow enough for the GK nodes to straddle it
+    edges = sorted(set(seeds) | {a + (b - a) * j / 8.0 for j in range(1, 8)})
     heap: list[tuple[float, int, float, float, float, float]] = []
     counter = 0
     total = 0.0
@@ -492,9 +476,9 @@ def integrate_decaying(
     splits = 0
     stuck_err = 0.0
     while errsum - stuck_err > 0.0 and errsum > 0.25 * rtol * max(abs(total), 1e-300) and heap:
-        if splits >= spec.max_subdivisions:
+        if splits >= MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"subdivision budget {spec.max_subdivisions} exhausted; "
+                f"subdivision budget {MAX_SUBDIVISIONS} exhausted; "
                 f"achieved relative error ~{errsum / max(abs(total), 1e-300):.3e}"
             )
         neg_err, _, lo_e, hi_e, ik, err = heapq.heappop(heap)
@@ -569,6 +553,10 @@ def integrate_decaying(
             total += ik
             errsum += err
 
+    if not (math.isfinite(total) and math.isfinite(errsum)):
+        raise QuadratureError(
+            f"integral is not finite after rescaling by the scanned maximum e^{m_log:.6g}"
+        )
     if total <= 0.0:
         return LogValue.zero()
     if errsum > rtol * abs(total):

@@ -8,8 +8,9 @@ Conventions used throughout the package:
         exp(delta gamma - (1/2) gamma^(1/alpha) t),
     which gives Laplace exponent
         psi(lam) = -delta gamma + delta (gamma^(1/alpha) + 2 lam)^alpha;
-  - at alpha = 1/2 the tilted law is inverse Gaussian and everything has a
-    closed form, used both as a fast path and as a cross-check oracle.
+  - at alpha = 1/2 the tilted law is inverse Gaussian. stable_density then
+    uses the closed-form stable density, and ig_density is a cross-check
+    oracle. The eta integrals of pktilt.eppf are quadrature at every alpha.
 """
 
 from __future__ import annotations

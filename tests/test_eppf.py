@@ -2,7 +2,7 @@
 the EPPF, predictive rules, and the recurrence-filled eta table.
 
 Oracles: the n = k = 1 integral has the elementary value
-e^(-delta gamma) / (2 alpha delta); at gamma = 0 the whole triangle reduces
+1 / (2 alpha delta) for every gamma; at gamma = 0 the whole triangle reduces
 to Gamma(k) 2^(-n) delta^(-k) / alpha; and the alpha = 1/2 closed form is an
 independent route against generic quadrature.
 """
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from pktilt import eppf
 from pktilt.eppf import (
     Composition,
     EtaMemo,
@@ -64,7 +65,8 @@ def test_composition_validation():
 
 @pytest.mark.parametrize("params", PARAM_GRID)
 def test_eta_1_1_elementary_value(params):
-    ref = math.exp(-params.delta * params.gamma) / (2.0 * params.alpha * params.delta)
+    # eta carries the tilt factor e^(delta gamma), so gamma drops out here
+    ref = 1.0 / (2.0 * params.alpha * params.delta)
     assert log_eta(1, 1, params, TIGHT).value == pytest.approx(ref, rel=1e-11)
 
 
@@ -121,6 +123,42 @@ def test_small_alpha_quadrature_does_not_overflow(params):
     assert predictive(Composition((3, 2, 1)), params).total == pytest.approx(1.0, abs=1e-8)
     part = sample_partition(12, params, np.random.default_rng(0))
     assert sum(part.block_sizes) == 12
+
+
+@pytest.mark.parametrize(
+    "params",
+    [GGParams(0.5, 1.0, 1e9), GGParams(0.5, 1e3, 1e6),
+     GGParams(0.3, 1.0, 1e10), GGParams(0.7, 10.0, 1e8)],
+)
+def test_predictive_sums_to_one_at_large_tilt(params):
+    # a log eta that carried -delta gamma would be rounded to the float
+    # spacing of delta gamma, and each eta ratio would lose its last digits
+    assert predictive(Composition((3, 2, 1)), params).total == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "params", [GGParams(0.5, 1.0, 1.0), GGParams(0.3, 2.0, 0.0), GGParams(0.02, 1e6, 50.0)]
+)
+def test_eta_quadrature_work_is_bounded(params, monkeypatch):
+    # the bracket around the peak comes from a few array scans, so one eta
+    # quadrature is a few dozen log_f calls: scans plus Gauss-Kronrod panels
+    calls = []
+    integrate = eppf.integrate_decaying
+
+    def counted(log_f, lower, spec=None):
+        calls.append(0)
+
+        def f(x):
+            calls[-1] += 1
+            return log_f(x)
+
+        return integrate(f, lower, spec)
+
+    monkeypatch.setattr(eppf, "integrate_decaying", counted)
+    for n, k in [(1, 1), (40, 7), (300, 150)]:
+        log_eta(n, k, params)
+    assert len(calls) == 3
+    assert max(calls) <= 50, calls
 
 
 def test_eta_monotone_in_k_when_tilt_exceeds_one():

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from pktilt import specfun
 from pktilt.specfun import (
     CancellationError,
     DEFAULT_QUADRATURE,
@@ -228,8 +229,6 @@ def test_upper_gamma_validates():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(relative_tolerance=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(relative_tolerance=1e-10, max_subdivisions=0)
     assert DEFAULT_QUADRATURE.relative_tolerance == 1e-10
 
 
@@ -251,11 +250,30 @@ def test_integrate_gamma_function_values():
 
 
 def test_integrate_remote_narrow_peak():
-    # Gaussian of width 0.5 centered at t = 118: the peak must be found and
-    # the mass recovered even though a naive panel sweep would miss it.
-    mu, sig = 118.0, 0.5
-    r = integrate_decaying(lambda t: -0.5 * ((t - mu) / sig) ** 2, 0.0)
-    assert r.value == pytest.approx(sig * math.sqrt(2.0 * math.pi), rel=1e-10)
+    # the peak must be found and the mass recovered even though a naive panel
+    # sweep would miss it; far from the lower limit, a peak placed only to a
+    # fixed relative accuracy sits many widths off and overflows the rescaling
+    for mu, sig, rel in [(118.0, 0.5, 1e-10), (1e8, 1.0, 1e-8), (1e6, 1e-2, 1e-8),
+                         (1e5, 1e-2, 1e-8), (1e4, 1e-3, 1e-8), (1e3, 1e-4, 1e-8)]:
+        r = integrate_decaying(lambda t: -0.5 * ((t - mu) / sig) ** 2, 0.0)
+        assert r.value == pytest.approx(sig * math.sqrt(2.0 * math.pi), rel=rel), (mu, sig)
+
+
+def test_integrate_kink_at_peak():
+    # int_0^inf e^(-|t-3|) dt = 2 - e^-3; the kink sits between the peak's
+    # scanned neighbours, which must become panel edges for GK to see it
+    r = integrate_decaying(lambda t: -np.abs(t - 3.0), 0.0)
+    assert r.value == pytest.approx(2.0 - math.exp(-3.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("mu,sig", [(1e8, 1e-9), (1e3, 1e-12), (1.0, 1e-17)])
+def test_integrate_never_returns_infinity(mu, sig):
+    # peaks at or below float resolution: a typed error or the right mass
+    try:
+        r = integrate_decaying(lambda t: -0.5 * ((t - mu) / sig) ** 2, 0.0)
+    except QuadratureError:
+        return
+    assert r.log_magnitude == pytest.approx(math.log(sig * math.sqrt(2.0 * math.pi)), abs=1e-8)
 
 
 def test_integrate_huge_log_offset():
@@ -288,14 +306,34 @@ def test_integrate_nonzero_lower_endpoint():
     assert r.value == pytest.approx(math.exp(-2.0), rel=1e-10)
 
 
-def test_integrate_budget_exhaustion_raises():
-    spec = QuadratureSpec(relative_tolerance=1e-13, max_subdivisions=3)
+def test_integrate_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "MAX_SUBDIVISIONS", 3)
+    spec = QuadratureSpec(relative_tolerance=1e-13)
     def log_f(t):
         with np.errstate(divide="ignore"):
             return np.where(t > 0.0, -0.75 * np.log(t) - t, -np.inf)
 
     with pytest.raises(QuadratureError):
         integrate_decaying(log_f, 0.0, spec)
+
+
+def _log_t(t):
+    with np.errstate(divide="ignore"):
+        return np.log(t)
+
+
+@pytest.mark.parametrize(
+    "log_f,match",
+    [
+        (lambda t: np.zeros_like(t), "does not fall below the cut level"),
+        (_log_t, "still rising"),
+        (lambda t: -0.5 * _log_t(t), "right tail does not decay"),
+    ],
+    ids=["constant", "rising", "t^(-1/2)"],
+)
+def test_integrate_non_decaying_raises(log_f, match):
+    with pytest.raises(QuadratureError, match=match):
+        integrate_decaying(log_f, 0.0)
 
 
 def test_cancellation_error_is_arithmetic_error():
