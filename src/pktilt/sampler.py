@@ -1,13 +1,23 @@
 """Sequential partition sampling and Monte Carlo summaries.
 
-One element at a time: the next element joins existing block j with weight
-proportional to (n_j - alpha) or opens a new block, the two branch masses
-coming from eta ratios (see the predictive rule). Block choice within the
-existing branch is done by uniform-proposal rejection, so one step costs
-O(1) RNG draws regardless of n; per-step RNG consumption depends only on
-the partition prefix, which keeps a replicate's path identical across
-different target n for the same seed stream (used by coupled convergence
-tests).
+One element at a time: element i + 1 opens a new block with probability
+_new_block_prob(eta, i, k), an eta ratio read off the predictive rule, and
+otherwise joins existing block j with weight proportional to (n_j - alpha).
+That one function is the only place the seating rule is computed.
+
+sample_partition draws whole partitions. Block choice within the existing
+branch is done by uniform-proposal rejection, so one step costs O(1) RNG
+draws regardless of n; per-step RNG consumption depends only on the
+partition prefix, which keeps a replicate's path identical across different
+target n for the same seed stream (used by coupled convergence tests).
+
+monte_carlo_blocks and empirical_diversity need only the block count K_n,
+which is a birth chain on its own: replicate r draws its n uniforms at once
+as _replicate_rng(seed, r).random(n) and opens a new block at step i when
+u[i] < _new_block_prob(eta, i, k). Since random(n)[:m] == random(m), the
+chain is prefix-coupled across n too. It reads a different stream from
+sample_partition, so K_n of replicate r is not the block count of
+sample_partition's replicate r.
 
 Replicate r of a run uses default_rng(SeedSequence(entropy=seed,
 spawn_key=(r,))), so reports are reproducible from (seed, replicates) alone.
@@ -31,6 +41,9 @@ __all__ = [
     "monte_carlo_blocks",
     "empirical_diversity",
 ]
+
+# the K_n chain holds at most this many uniforms: _CHAIN_CELLS // n replicates at once
+_CHAIN_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,14 @@ def _replicate_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
 
 
+def _new_block_prob(eta: EtaMemo, i: int, k: int | np.ndarray):
+    """Pr(element i + 1 opens a new block | i elements in k blocks), the
+    predictive's new-block weight over its total; k may be an int array."""
+    alpha, delta = eta.params.alpha, eta.params.delta
+    row = eta.log_row(i + 1)
+    return 1.0 / (1.0 + (i - k * alpha) / (alpha * delta) * np.exp(row[k] - row[k + 1]))
+
+
 def sample_partition(
     n: int,
     params: GGParams,
@@ -79,25 +100,18 @@ def sample_partition(
         raise ValueError("n must be >= 1")
     eta = _memo_for(params, eta)
     eta.ensure_rows(n)
-    alpha, delta = params.alpha, params.delta
+    alpha = params.alpha
     labels = np.zeros(n, dtype=np.int64)
     labels[0] = 1
     sizes = [1]
     for i in range(1, n):
-        cur = i
         k = len(sizes)
-        row_cur = eta.log_row(cur)
-        row_next = eta.log_row(cur + 1)
-        le = row_cur[k]
-        w_new = (2.0 / cur) * alpha * delta * math.exp(row_next[k + 1] - le)
-        w_old = (2.0 / cur) * (cur - k * alpha) * math.exp(row_next[k] - le)
-        u = rng.random() * (w_new + w_old)
-        if u < w_new:
+        if rng.random() < _new_block_prob(eta, i, k):
             sizes.append(1)
             labels[i] = k + 1
         else:
             while True:
-                j = int(rng.integers(0, cur))
+                j = int(rng.integers(0, i))
                 b = labels[j] - 1
                 sz = sizes[b]
                 if rng.random() * sz < sz - alpha:
@@ -119,9 +133,15 @@ def _block_counts(
         raise ValueError("replicates must be >= 1")
     eta = _memo_for(params, eta)
     eta.ensure_rows(n)
-    k = np.empty(replicates, dtype=np.int64)
-    for r in range(replicates):
-        k[r] = len(sample_partition(n, params, _replicate_rng(seed, r), eta=eta).block_sizes)
+    k = np.ones(replicates, dtype=np.int64)
+    rows = max(1, _CHAIN_CELLS // n)
+    for lo in range(0, replicates, rows):
+        kb = k[lo:lo + rows]
+        u = np.empty((kb.size, n))
+        for r, row in enumerate(u):
+            _replicate_rng(seed, lo + r).random(out=row)
+        for i in range(1, n):
+            kb += u[:, i] < _new_block_prob(eta, i, kb)
     return k, eta
 
 

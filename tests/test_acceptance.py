@@ -29,6 +29,7 @@ from pktilt.tempered_stable import (
     levy_density,
     sample_tempered,
 )
+from test_sampler import labels_of, sequential_log_prob
 
 ALPHAS = (0.25, 0.5, 0.75)
 DELTAS = (0.5, 1.0, 2.0)
@@ -207,36 +208,6 @@ def test_criterion_06_blocks_pmf_enumeration_and_normalization():
     )
 
 
-def _labels_of(partition) -> tuple[int, ...]:
-    out = [0] * partition.n
-    for b_idx, block in enumerate(partition.blocks, start=1):
-        for el in block:
-            out[el - 1] = b_idx
-    return tuple(out)
-
-
-def _sequential_log_prob(labels, params, eta) -> float:
-    alpha, delta = params.alpha, params.delta
-    sizes = [1]
-    logp = 0.0
-    for i in range(1, len(labels)):
-        cur, k = i, len(sizes)
-        le = eta.log_row(cur)[k]
-        row_next = eta.log_row(cur + 1)
-        w_new = (2.0 / cur) * alpha * delta * math.exp(row_next[k + 1] - le)
-        w_old = (2.0 / cur) * (cur - k * alpha) * math.exp(row_next[k] - le)
-        lab = labels[i]
-        if lab == k + 1:
-            logp += math.log(w_new / (w_new + w_old))
-            sizes.append(1)
-        else:
-            logp += math.log(w_old / (w_new + w_old)) + math.log(
-                (sizes[lab - 1] - alpha) / (cur - k * alpha)
-            )
-            sizes[lab - 1] += 1
-    return logp
-
-
 def test_criterion_07_sampler_path_probability_exactness():
     spec = QuadratureSpec(1e-12)
     worst = 0.0
@@ -253,7 +224,7 @@ def test_criterion_07_sampler_path_probability_exactness():
         for n in range(1, 6):
             total = []
             for part in enumerate_set_partitions(n):
-                lp = _sequential_log_prob(_labels_of(part), params, memo)
+                lp = sequential_log_prob(labels_of(part), memo)
                 shape = tuple(sorted(part.block_sizes, reverse=True))
                 if shape not in cache:
                     cache[shape] = log_eppf(

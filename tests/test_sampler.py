@@ -4,9 +4,12 @@ The sampler's step probabilities must reproduce the partition law exactly
 (path product = EPPF for every partition), replicate streams must be
 deterministic in (seed, r), and per-step randomness consumption must depend
 only on the partition prefix so runs with different target n stay coupled.
+The same holds for the K_n chain behind the Monte Carlo wrappers, which
+must not run the partition sampler at all.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +17,11 @@ import pytest
 from pktilt.blocks import blocks_pmf
 from pktilt.eppf import Composition, EtaMemo, log_eppf
 from pktilt.oracle import enumerate_set_partitions
+import pktilt.sampler as sampler
 from pktilt.sampler import (
     PartitionSample,
+    _block_counts,
+    _new_block_prob,
     _replicate_rng,
     empirical_diversity,
     monte_carlo_blocks,
@@ -34,30 +40,25 @@ def labels_of(partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sequential_log_prob(labels, params, eta) -> float:
-    """Log probability that the sequential process emits exactly `labels`."""
-    alpha, delta = params.alpha, params.delta
+def sequential_log_prob(labels, eta) -> float:
+    """Log probability that the sequential process emits exactly `labels`.
+
+    The new-block branch is the sampler's own _new_block_prob; joining old
+    block j adds the factor (n_j - alpha) / (i - k alpha).
+    """
+    alpha = eta.params.alpha
     sizes = [1]
     logp = 0.0
     for i in range(1, len(labels)):
-        cur = i
         k = len(sizes)
-        row_cur = eta.log_row(cur)
-        row_next = eta.log_row(cur + 1)
-        le = row_cur[k]
-        w_new = (2.0 / cur) * alpha * delta * math.exp(row_next[k + 1] - le)
-        w_old = (2.0 / cur) * (cur - k * alpha) * math.exp(row_next[k] - le)
-        total = w_new + w_old
+        p_new = float(_new_block_prob(eta, i, k))
         lab = labels[i]
         if lab == k + 1:
-            logp += math.log(w_new / total)
+            logp += math.log(p_new)
             sizes.append(1)
         else:
-            b = lab - 1
-            logp += math.log(w_old / total) + math.log(
-                (sizes[b] - alpha) / (cur - k * alpha)
-            )
-            sizes[b] += 1
+            logp += math.log1p(-p_new) + math.log((sizes[lab - 1] - alpha) / (i - k * alpha))
+            sizes[lab - 1] += 1
     return logp
 
 
@@ -74,11 +75,35 @@ def test_path_probability_equals_eppf(params):
     eta.ensure_rows(n + 1)
     total = []
     for part in enumerate_set_partitions(n):
-        lp_path = sequential_log_prob(labels_of(part), params, eta)
+        lp_path = sequential_log_prob(labels_of(part), eta)
         lp_eppf = log_eppf(Composition(part.block_sizes), params).log_magnitude
         assert lp_path == pytest.approx(lp_eppf, abs=1e-10)
         total.append(math.exp(lp_path))
     assert math.fsum(total) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "params", [PARAMS, GGParams(0.3, 0.7, 1.5), GGParams(0.75, 2.0, 0.0)]
+)
+def test_sample_partition_shape_law(params):
+    # sorted block-size shapes of whole sampled partitions against the
+    # enumeration x EPPF law; this reaches the old-block rejection step
+    n, reps = 6, 20_000
+    eta = EtaMemo(params)
+    eta.ensure_rows(n)
+    law: dict[tuple[int, ...], float] = {}
+    for part in enumerate_set_partitions(n):
+        shape = tuple(sorted(part.block_sizes, reverse=True))
+        p = log_eppf(Composition(part.block_sizes), params, eta=eta).value
+        law[shape] = law.get(shape, 0.0) + p
+    counts = Counter(
+        tuple(sorted(sample_partition(n, params, _replicate_rng(0, r), eta=eta).block_sizes,
+                     reverse=True))
+        for r in range(reps)
+    )
+    assert set(counts) <= set(law)
+    tv = 0.5 * math.fsum(abs(counts[s] / reps - p) for s, p in law.items())
+    assert tv < 0.02, f"shape TV = {tv:.4f}"
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +192,38 @@ def test_empirical_diversity_matches_exact_mean():
     exact_mean = blocks_pmf(n, PARAMS, eta=eta).mean() / math.sqrt(n)
     se = float(np.std(sample, ddof=1)) / math.sqrt(reps)
     assert abs(float(np.mean(sample)) - exact_mean) < 4.0 * se
+
+
+def test_block_counts_prefix_coupled():
+    # the chain at n = 30 reads the first 30 uniforms of the n = 31 and
+    # n = 60 chains, so one more step adds at most one block
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(60)
+    small, _ = _block_counts(30, PARAMS, 500, 9, eta)
+    big, _ = _block_counts(60, PARAMS, 500, 9, eta)
+    assert np.all(small <= big) and np.all(big <= small + 30)
+    one_more, _ = _block_counts(31, PARAMS, 500, 9, eta)
+    assert set(np.unique(one_more - small)) <= {0, 1}
+
+
+def test_block_counts_blocking_does_not_change_results(monkeypatch):
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(20)
+    whole = monte_carlo_blocks(20, PARAMS, replicates=1000, seed=3, eta=eta)
+    monkeypatch.setattr(sampler, "_CHAIN_CELLS", 20 * 64 + 5)  # 16 blocks, last one partial
+    blocked = monte_carlo_blocks(20, PARAMS, replicates=1000, seed=3, eta=eta)
+    assert blocked.empirical_pmf == whole.empirical_pmf
+
+
+def test_block_count_studies_skip_the_partition_sampler(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_partition called")
+
+    monkeypatch.setattr(sampler, "sample_partition", refuse)
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(30)
+    monte_carlo_blocks(30, PARAMS, replicates=50, seed=1, eta=eta)
+    empirical_diversity(30, PARAMS, replicates=50, seed=1, eta=eta)
 
 
 def test_mc_validation():

@@ -7,6 +7,7 @@ pinned seeds.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -340,3 +341,22 @@ def test_sample_tempered_matches_ig_distribution():
     i = np.arange(1, n + 1)
     ks = float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
     assert ks < 2.30 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("p", [GGParams(0.5, 1.0, 30.0), GGParams(0.3, 2.0, 50.0)])
+def test_sample_tempered_large_tilt_is_split(p):
+    # at delta gamma = 30 and 100 one whole-delta proposal is accepted with
+    # probability e^(-delta gamma); the split into ceil(delta gamma) pieces
+    # keeps each piece's acceptance at e^(-delta gamma / m) >= e^(-1)
+    n = 20_000
+    t0 = time.perf_counter()
+    draws, stats = sample_tempered(p, np.random.default_rng(1), size=n, return_stats=True)
+    elapsed = time.perf_counter() - t0
+    assert draws.shape == (n,)
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    assert stats["accepted"] / stats["proposed"] >= 0.3
+    # psi(1) = delta gamma ((1 + 2 / gamma^(1/alpha))^alpha - 1), without cancellation
+    psi = p.delta * p.gamma * math.expm1(p.alpha * math.log1p(2.0 / p.gamma_root))
+    w = np.exp(-draws)
+    se = float(np.std(w, ddof=1)) / math.sqrt(n)
+    assert abs(float(np.mean(w)) - math.exp(-psi)) < 4.0 * se
