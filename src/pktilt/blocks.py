@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import LogValue
-from .tempered_stable import GGParams, stable_density
-from .eppf import EtaMemo, _log_vnk_prefactor, _memo_for
+from .tempered_stable import _SQRT_2PI, GGParams, stable_density_series
+from .eppf import _LN2, EtaMemo, _log_vnk_prefactor, _memo_for
 
 __all__ = [
     "StirlingTable",
@@ -121,30 +121,40 @@ def blocks_pmf(n: int, params: GGParams, *, eta: EtaMemo | None = None) -> Block
     eta = _memo_for(params, eta)
     eta.ensure_rows(n)
     stirling = stirling_table(params.alpha, n)
-    probs = []
-    for k in range(1, n + 1):
-        log_p = (
-            _log_vnk_prefactor(n, k, params)
-            + eta.log_eta(n, k)
-            + stirling.log_value(n, k)
-        )
-        probs.append(math.exp(log_p))
-    return BlockCountPmf(n=n, probabilities=tuple(probs))
+    log_p = (
+        _log_vnk_prefactor(n, np.arange(1, n + 1), params)
+        + eta.log_row(n)[1:n + 1]
+        + stirling._rows[n][1:n + 1]
+    )
+    return BlockCountPmf(n=n, probabilities=tuple(np.exp(log_p).tolist()))
 
 
 def diversity_density(params: GGParams, s: float) -> float:
     """Density of the alpha diversity S = lim K_n / n^alpha at s > 0.
 
-    Exact change of variables of the tilted stable density. For alpha != 1/2
+    Exact change of variables of the tilted stable density, summed in log
+    scale, so no factor overflows at large delta gamma. For alpha != 1/2
     large s maps to the small-t region where the stable series cancels, so
     the call raises CancellationError outside the reliable region instead of
     returning noise; alpha = 1/2 has full-domain closed forms.
     """
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
+    return math.exp(_log_diversity_density(params, s))
+
+
+def _log_diversity_density(params: GGParams, s: float) -> float:
+    """log f_S(s) at s > 0 as tilt + log Jacobian + log stable density;
+    -inf where the stable density underflows to 0."""
     alpha, delta, gamma = params.alpha, params.delta, params.gamma
-    t = 2.0 * delta ** (1.0 / alpha) * s ** (-1.0 / alpha)
-    f = stable_density(alpha, delta, t)
+    log_t = _LN2 + (math.log(delta) - math.log(s)) / alpha
     tilt = delta * gamma - (delta * gamma / s) ** (1.0 / alpha)
-    jac = 2.0 * delta ** (1.0 / alpha) / (alpha * s ** (1.0 / alpha + 1.0))
-    return math.exp(tilt) * f * jac
+    log_jac = log_t - math.log(alpha * s)
+    if alpha == 0.5:
+        # log of stable_density_half at t = 2 delta^2 / s^2, where
+        # delta^2 / (2 t) = s^2 / 4
+        log_f = math.log(delta / _SQRT_2PI) - 1.5 * log_t - 0.25 * s * s
+    else:
+        f = stable_density_series(alpha, delta, math.exp(log_t))
+        log_f = math.log(f) if f > 0.0 else -math.inf
+    return tilt + log_jac + log_f

@@ -27,7 +27,7 @@ from .specfun import (
 )
 from .tempered_stable import SERIES_CANCELLATION_GUARD, SERIES_TERM_TOLERANCE, GGParams
 from .eppf import Composition, EtaMemo, log_eppf, predictive
-from .blocks import blocks_pmf, diversity_density
+from .blocks import _log_diversity_density, blocks_pmf, diversity_density
 from .oracle import MAX_ENUMERATION_N, enumerate_set_partitions, exact_blocks_pmf
 from .sampler import _replicate_rng, monte_carlo_blocks, sample_partition
 
@@ -153,8 +153,9 @@ def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
     comp: Composition = args.composition
     from .eppf import log_vnk
 
-    # one memo, no table: three quadratures serve the EPPF, V and the
-    # predictive, whose additivity check stays independent of the recurrence
+    # one memo, no table: three cells (quadratures at gamma > 0) serve the
+    # EPPF, V and the predictive, whose additivity check stays independent
+    # of the recurrence
     eta = EtaMemo(params, spec)
     lv = log_eppf(comp, params, eta=eta)
     lvnk = log_vnk(comp.n, comp.k, params, eta=eta)
@@ -174,6 +175,8 @@ def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
     if args.oracle == "pd":
         if params.gamma != 0.0:
             raise SystemExit("--oracle pd requires --gamma 0")
+        # eta is closed form at gamma = 0, so this checks how V and the
+        # Gibbs factors are put together
         log_ref = (
             (comp.k - 1) * math.log(params.alpha)
             + math.lgamma(comp.k)
@@ -268,12 +271,8 @@ def cmd_diversity(args, params: GGParams, spec: QuadratureSpec):
     }
     if params.alpha == 0.5:
         # full-domain closed form available: certify the density integrates to 1
-        dg = params.delta * params.gamma
-        const = dg - 0.5 * math.log(math.pi)
-
         def log_f(s_arr: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                return const - (dg / s_arr) ** 2 - 0.25 * s_arr ** 2
+            return np.array([_log_diversity_density(params, s) for s in s_arr.tolist()])
 
         integral = integrate_decaying(log_f, 0.0, spec).value
         payload["integral"] = integral
@@ -335,7 +334,8 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
     checks = []
     rows = []
     # the table serves blocks_pmf; the enumeration and predictive identities
-    # read per-cell quadratures, so they check the table instead of echoing it
+    # read per-cell values (closed form at gamma = 0, quadrature otherwise),
+    # so they check the table's recurrence instead of echoing it
     table = EtaMemo(params, spec)
     table.ensure_rows(n_max)
     cells = EtaMemo(params, spec)

@@ -14,14 +14,16 @@ The tilt factor e^(delta gamma) sits inside eta, so eta(1, 1) = 1 / (2 alpha
 delta) for every gamma, and no stored log eta carries a term -delta gamma
 that would round it to the float spacing of delta gamma.
 
-eta is evaluated by quadrature after the substitution u = delta w^alpha,
-which maps the domain to (delta gamma, inf) and makes the integrand
-exponentially decaying (handled by integrate_decaying); at gamma > 0 the
-variable is the offset u - delta gamma, over (0, inf). At alpha = 1/2,
-gamma > 0 there is also a finite sum of upper incomplete gamma functions
-(substitution t = delta sqrt(gamma^2 + 2 lam) and a binomial expansion).
-The sum alternates and loses digits as n grows, so it is kept only as an
-oracle, log_eta_half_closed, with a cancellation guard.
+At gamma = 0 the model is Pitman's PD(alpha, 0) and eta is closed form,
+eta(n, k) = Gamma(k) / (alpha delta^k 2^n). At gamma > 0 eta is evaluated by
+quadrature after the substitution u = delta w^alpha, over the offset
+u - delta gamma in (0, inf), where the integrand decays exponentially
+(integrate_decaying). Its gap to the closed form is about delta gamma, so
+tests check the closed form against the quadrature at delta gamma = 1e-14.
+At alpha = 1/2, gamma > 0 there is also a finite sum of upper incomplete
+gamma functions (substitution t = delta sqrt(gamma^2 + 2 lam) and a
+binomial expansion). The sum alternates and loses digits as n grows, so it
+is kept only as an oracle, log_eta_half_closed, with a cancellation guard.
 
 One-customer predictive weights are eta ratios:
 
@@ -33,8 +35,8 @@ derivative of lam^n e^(-delta w^alpha) w^(k alpha - n) over (0, inf)):
 
     n eta(n, k) = 2 delta alpha eta(n+1, k+1) + 2 (n - k alpha) eta(n+1, k)
 
-whose coefficients are positive for k <= n. EtaMemo exploits it: one
-quadrature row at the top index seeds the whole triangle, which is both
+whose coefficients are positive for k <= n. EtaMemo exploits it: one top
+row (closed form or quadrature) seeds the whole triangle, which is both
 faster and more accurate than quadrature per cell.
 """
 
@@ -124,26 +126,19 @@ class PredictiveDistribution:
         return math.fsum(self.existing) + self.new_block
 
 
-def _log_eta_quadrature(n: int, k: int, params: GGParams, spec: QuadratureSpec) -> float:
+def _log_eta_cell(n: int, k: int, params: GGParams, spec: QuadratureSpec) -> float:
+    """log eta(n, k): the closed form at gamma = 0, quadrature otherwise."""
     alpha, delta = params.alpha, params.delta
     u0 = delta * params.gamma
+    # u0, not gamma: a product that underflows to 0 leaves the quadrature no
+    # offset to integrate over, and its eta is the gamma = 0 one
+    if u0 == 0.0:
+        return math.lgamma(k) - n * _LN2 - k * math.log(delta) - math.log(alpha)
     c = k * alpha - n + 1.0 - alpha
     # lam = (w - gamma^(1/alpha)) / 2 is taken in log scale, since w overflows
     # at small alpha. The 2^(1-n) of lam^(n-1) is folded into log_norm.
     log_norm = math.log(2.0 * alpha * delta) + (n - 1) * _LN2
-    if u0 == 0.0:
-        log_delta = math.log(delta)
-
-        def log_f(u: np.ndarray) -> np.ndarray:
-            logw = (np.log(u) - log_delta) / alpha
-            out = -u + c * logw - log_norm
-            if n > 1:
-                out = out + (n - 1) * logw
-            return out
-
-        return integrate_decaying(log_f, 0.0, spec).log_magnitude
-
-    # gamma > 0: integrate over the offset x = u - u0, so that
+    # integrate over the offset x = u - u0, so that
     # d = log w - log gamma^(1/alpha) = log1p(x / u0) / alpha keeps its digits
     # near the lower limit even when u0 is large. The tilt factor e^(u0) of
     # eta cancels e^(-u0) exactly, so neither enters in floating point.
@@ -169,11 +164,11 @@ def _validate_nk(n: int, k: int) -> None:
 
 
 def log_eta(n: int, k: int, params: GGParams, spec: QuadratureSpec | None = None) -> LogValue:
-    """log of eta(n, k) as a LogValue (eta is strictly positive), by quadrature."""
+    """log of eta(n, k) as a LogValue: closed form at gamma = 0, else quadrature."""
     _validate_nk(n, k)
     if spec is None:
         spec = DEFAULT_QUADRATURE
-    return LogValue.from_log(_log_eta_quadrature(n, k, params, spec))
+    return LogValue.from_log(_log_eta_cell(n, k, params, spec))
 
 
 def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
@@ -260,11 +255,12 @@ def _memo_for(params: GGParams, eta: EtaMemo | None) -> EtaMemo:
 class EtaMemo:
     """Memoized log eta(n, k) values for one parameter set.
 
-    ensure_rows(n_top) computes the top row by quadrature (n_top integrals)
-    and fills every row below through the exact downward recurrence, giving
-    the whole triangle for O(n_top) quadratures. Cells outside the table are
-    computed on demand by quadrature and cached. spec, the quadrature
-    settings, reaches every eta consumer only through its memo.
+    ensure_rows(n_top) computes the top row as log_eta does (n_top
+    quadratures at gamma > 0, closed form at gamma = 0) and fills every row
+    below through the exact downward recurrence. Cells outside the table are
+    computed on demand the same way and cached; quadrature_cells counts the
+    integrals run. spec, the quadrature settings, reaches every eta consumer
+    only through its memo.
     """
 
     def __init__(self, params: GGParams, spec: QuadratureSpec | None = None):
@@ -273,6 +269,7 @@ class EtaMemo:
         self._rows: dict[int, np.ndarray] = {}
         self._top = 0
         self._cells: dict[tuple[int, int], float] = {}
+        self._by_quadrature = params.delta * params.gamma != 0.0
         self.quadrature_cells = 0
 
     def ensure_rows(self, n_top: int) -> None:
@@ -284,8 +281,8 @@ class EtaMemo:
         alpha, delta = self.params.alpha, self.params.delta
         top = np.full(n_top + 2, -np.inf)
         for k in range(1, n_top + 1):
-            top[k] = _log_eta_quadrature(n_top, k, self.params, self.spec)
-            self.quadrature_cells += 1
+            top[k] = _log_eta_cell(n_top, k, self.params, self.spec)
+        self.quadrature_cells += n_top * self._by_quadrature
         rows = {n_top: top}
         log_2ad = math.log(2.0 * alpha * delta)
         for n in range(n_top - 1, 0, -1):
@@ -306,7 +303,7 @@ class EtaMemo:
         key = (n, k)
         if key not in self._cells:
             self._cells[key] = log_eta(n, k, self.params, self.spec).log_magnitude
-            self.quadrature_cells += 1
+            self.quadrature_cells += self._by_quadrature
         return self._cells[key]
 
     def log_row(self, n: int) -> np.ndarray:

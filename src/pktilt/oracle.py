@@ -102,8 +102,8 @@ def exact_blocks_pmf(n: int, params: GGParams, *, eta: EtaMemo | None = None) ->
     """Pr(K_n = k) by summing the EPPF over every set partition of [n].
 
     Each eta(n, k) is read from eta, by default a fresh memo without a table
-    at the default quadrature tolerance, so every cell is one quadrature
-    shared by all shapes with k blocks.
+    at the default quadrature tolerance, so every cell is computed once (one
+    quadrature at gamma > 0) and shared by all shapes with k blocks.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"n must lie in 1..{MAX_ENUMERATION_N}, got {n}")

@@ -10,7 +10,8 @@ Conventions used throughout the package:
         psi(lam) = -delta gamma + delta (gamma^(1/alpha) + 2 lam)^alpha;
   - at alpha = 1/2 the tilted law is inverse Gaussian. stable_density then
     uses the closed-form stable density, and ig_density is a cross-check
-    oracle. The eta integrals of pktilt.eppf are quadrature at every alpha.
+    oracle. The eta integrals of pktilt.eppf are quadrature at every alpha
+    (closed form at gamma = 0).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class GGParams:
     """Parameters (alpha, delta, gamma) of the tilted stable family.
 
     alpha in (0, 1) is the stable index, delta > 0 the scale, gamma >= 0 the
-    tilt; gamma = 0 recovers the untilted stable law.
+    tilt, both finite; gamma = 0 recovers the untilted stable law.
     """
 
     alpha: float
@@ -53,10 +54,10 @@ class GGParams:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma!r}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma!r}")
 
     @property
     def gamma_root(self) -> float:
@@ -69,9 +70,10 @@ class GGParams:
         return 0.5 * self.gamma_root
 
 
-# stable-density series: stop once a term falls below SERIES_TERM_TOLERANCE
-# times the running sum, give up after SERIES_MAX_TERMS terms, and raise if
-# the largest term exceeds SERIES_CANCELLATION_GUARD times the sum
+# stable-density series: stop once a term's envelope (the term without its
+# sine factor) falls below SERIES_TERM_TOLERANCE times the running sum, give
+# up after SERIES_MAX_TERMS terms, and raise if the largest term exceeds
+# SERIES_CANCELLATION_GUARD times the sum
 SERIES_TERM_TOLERANCE = 1e-12
 SERIES_MAX_TERMS = 500
 SERIES_CANCELLATION_GUARD = 1e6
@@ -92,9 +94,12 @@ def stable_density_series(alpha: float, delta: float, t: float) -> float:
 
     The series is an expansion in inverse powers of t: far from the origin it
     converges in a handful of terms, while for small t the alternating terms
-    grow before they decay. If the largest intermediate term exceeds
-    SERIES_CANCELLATION_GUARD times the final sum (about 6 decimal digits
-    lost) a CancellationError is raised rather than returning digits of noise.
+    grow before they decay. The sum stops once a term's envelope
+    Gamma(xi alpha + 1) / xi! (2 / x)^(xi alpha + 1), x = t delta^(-1/alpha),
+    falls below SERIES_TERM_TOLERANCE times the running sum. If the largest
+    intermediate term exceeds SERIES_CANCELLATION_GUARD times the final sum
+    (about 6 decimal digits lost) a CancellationError is raised rather than
+    returning digits of noise.
     """
     _validate_alpha_delta(alpha, delta)
     if not t > 0.0:
@@ -104,7 +109,7 @@ def stable_density_series(alpha: float, delta: float, t: float) -> float:
     terms: list[float] = []
     run = 0.0
     max_mag = 0.0
-    prev_mag = math.inf
+    prev_env = math.inf
     nonzero = 0
     converged = False
     for xi in range(1, SERIES_MAX_TERMS + 1):
@@ -115,23 +120,25 @@ def stable_density_series(alpha: float, delta: float, t: float) -> float:
         s = math.sin(math.pi * frac) * (1.0 if math.floor(m) % 2 == 0 else -1.0)
         if s == 0.0:
             continue
-        log_term = math.log(abs(s)) + math.lgamma(xi * alpha + 1.0) - math.lgamma(xi + 1.0) \
+        # the stop test reads the envelope, the term without its sine: where
+        # alpha xi is an integer only up to rounding, the sine is ~1e-14 and
+        # the term looks negligible while the sum is unfinished
+        log_env = math.lgamma(xi * alpha + 1.0) - math.lgamma(xi + 1.0) \
             + (xi * alpha + 1.0) * (math.log(2.0) - logx)
-        if log_term > 700.0:
+        if log_env > 700.0:
             raise CancellationError(
                 f"series term overflows at xi={xi}; t={t} is outside the reliable region"
             )
-        mag = math.exp(log_term) if log_term > -746.0 else 0.0
-        sign = (1.0 if s > 0 else -1.0) * (1.0 if xi % 2 == 1 else -1.0)
-        term = sign * mag
+        env = math.exp(log_env)
+        term = (s if xi % 2 == 1 else -s) * env
         terms.append(term)
         run += term
         nonzero += 1
-        max_mag = max(max_mag, mag)
-        if nonzero >= 3 and mag <= SERIES_TERM_TOLERANCE * max(abs(run), 1e-300) and mag <= prev_mag:
+        max_mag = max(max_mag, abs(term))
+        if nonzero >= 3 and env <= SERIES_TERM_TOLERANCE * max(abs(run), 1e-300) and env <= prev_env:
             converged = True
             break
-        prev_mag = mag
+        prev_env = env
     if not converged:
         raise CancellationError(
             f"series did not reach term tolerance within {SERIES_MAX_TERMS} terms at t={t}"

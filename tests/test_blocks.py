@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pktilt.blocks import BlockCountPmf, blocks_pmf, diversity_density, stirling_table
-from pktilt.eppf import EtaMemo
+from pktilt.eppf import EtaMemo, log_vnk
 from pktilt.oracle import (
     bell_polynomial_half,
     diversity_density_half,
@@ -145,6 +145,17 @@ def test_block_count_pmf_mean_and_validation():
         blocks_pmf(0, GGParams(0.5, 1.0, 1.0))
 
 
+def test_blocks_pmf_is_v_times_stirling():
+    # the array expression over row n against V_{n,k} S_alpha(n, k) per cell
+    for params in [GGParams(0.3, 0.7, 1.5), GGParams(0.75, 2.0, 0.0)]:
+        eta = EtaMemo(params)
+        tab = stirling_table(params.alpha, 40)
+        pmf = blocks_pmf(40, params, eta=eta)
+        for k, p in enumerate(pmf.probabilities, start=1):
+            ref = math.exp(log_vnk(40, k, params, eta=eta).log_magnitude + tab.log_value(40, k))
+            assert p == pytest.approx(ref, rel=1e-15, abs=0.0), (params, k)
+
+
 def test_blocks_pmf_gamma_zero_is_delta_free():
     a = blocks_pmf(10, GGParams(0.5, 0.5, 0.0)).probabilities
     b = blocks_pmf(10, GGParams(0.5, 2.0, 0.0)).probabilities
@@ -199,6 +210,16 @@ def test_diversity_integrates_to_one():
 
         r = integrate_decaying(log_f, 0.0, QuadratureSpec(1e-10))
         assert r.value == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [1300.0, 1414.2135623730951, 1420.0, 1500.0])
+def test_diversity_large_tilt_does_not_overflow(s):
+    # e^(delta gamma) alone overflows at delta gamma = 1e6; the log-scale sum
+    # keeps the density, 0.56 at its mode s = sqrt(2) 1000
+    dg = 1e6
+    ref = math.exp(dg - 0.5 * math.log(math.pi) - (dg / s) ** 2 - 0.25 * s * s)
+    got = diversity_density(GGParams(0.5, 1e6, 1.0), s)
+    assert got == pytest.approx(ref, rel=1e-8)
 
 
 def test_diversity_first_order_dominance_in_delta():

@@ -119,6 +119,19 @@ def test_diversity_underflowed_density(capsys):
     assert text.splitlines()[1] == "0.1,0.0,"
 
 
+def test_diversity_large_tilt(capsys):
+    # e^(delta gamma) overflows at delta gamma = 1e6; the density and its
+    # integral check are summed in log scale
+    argv = ["diversity", "--alpha", "0.5", "--delta", "1e6", "--gamma", "1",
+            "--s-grid", "1400:1430:16"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["integral"] == pytest.approx(1.0, abs=1e-8)
+    for s, d in zip(doc["s"], doc["density"]):
+        ref = math.exp(1e6 - 0.5 * math.log(math.pi) - (1e6 / s) ** 2 - 0.25 * s * s)
+        assert d == pytest.approx(ref, rel=1e-8), s
+
+
 def test_diversity_generic_alpha_degrades_honestly(capsys):
     argv = ["diversity", "--alpha", "0.75", "--delta", "1.0", "--gamma", "1.0",
             "--s-grid", "0.5:9:5"]
@@ -225,6 +238,10 @@ def test_bad_arguments_exit_two(capsys):
         ["blocks", *BASE],                                      # missing n
         ["diversity", *BASE, "--s", "-1.0"],                    # negative s
         ["diversity", *BASE],                                   # no s and no grid
+        ["blocks", "--alpha", "0.5", "--delta", "inf", "--gamma", "1.0",
+         "--n", "5"],                                           # infinite delta
+        ["predict", "--alpha", "0.5", "--delta", "1.0", "--gamma", "inf",
+         "--empty"],                                            # infinite gamma
         ["eppf", "--alpha", "0.25", "--delta", "1.0", "--gamma", "1.0",
          "--composition", "2,1", "--method", "closed"],         # unknown option
         ["nosuchcommand"],

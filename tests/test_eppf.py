@@ -2,9 +2,10 @@
 the EPPF, predictive rules, and the recurrence-filled eta table.
 
 Oracles: the n = k = 1 integral has the elementary value
-1 / (2 alpha delta) for every gamma; at gamma = 0 the whole triangle reduces
-to Gamma(k) 2^(-n) delta^(-k) / alpha; and the alpha = 1/2 closed form is an
-independent route against generic quadrature.
+1 / (2 alpha delta) for every gamma; the gamma = 0 closed form
+Gamma(k) 2^(-n) delta^(-k) / alpha, which serves eta there, is the
+gamma -> 0+ limit of the tilted quadrature; and the alpha = 1/2 closed form
+is an independent route against generic quadrature.
 """
 
 import math
@@ -71,18 +72,48 @@ def test_eta_1_1_elementary_value(params):
 
 
 def test_eta_gamma_zero_closed_triangle():
-    p = GGParams(0.25, 1.5, 0.0)
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            ref = (
-                math.lgamma(k)
-                - n * math.log(2.0)
-                - k * math.log(p.delta)
-                - math.log(p.alpha)
-            )
-            assert log_eta(n, k, p, TIGHT).log_magnitude == pytest.approx(
-                ref, abs=1e-10
-            ), (n, k)
+    # eta at gamma = 0 is the closed form; its oracle is the tilted
+    # quadrature at delta gamma = 1e-14, whose gap to the limit is far below
+    # the tolerance (at delta gamma = 1e-6 it would be about 1e-6)
+    cells = [(1, 1), (2, 1), (2, 2), (7, 3), (40, 13), (150, 1), (150, 150)]
+    for alpha in (0.02, 0.1, 0.3, 0.5, 0.75, 0.9, 0.98):
+        for delta in (1e-6, 0.1, 1.0, 10.0, 1e6):
+            p0 = GGParams(alpha, delta, 0.0)
+            p = GGParams(alpha, delta, 1e-14 / delta)
+            for n, k in cells:
+                ref = (
+                    math.lgamma(k)
+                    - n * math.log(2.0)
+                    - k * math.log(delta)
+                    - math.log(alpha)
+                )
+                assert log_eta(n, k, p0).log_magnitude == pytest.approx(
+                    ref, rel=1e-15, abs=1e-13
+                ), (alpha, delta, n, k)
+                assert log_eta(n, k, p, TIGHT).log_magnitude == pytest.approx(
+                    ref, abs=1e-10
+                ), (alpha, delta, n, k)
+
+
+def test_eta_gamma_zero_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature at gamma = 0")
+
+    monkeypatch.setattr(eppf, "integrate_decaying", refuse)
+    p = GGParams(0.4, 2.0, 0.0)
+    memo = EtaMemo(p)
+    memo.ensure_rows(300)
+    assert memo.log_eta(300, 7) == pytest.approx(
+        math.lgamma(7) - 300 * math.log(2.0) - 7 * math.log(2.0) - math.log(0.4),
+        abs=1e-10,
+    )
+    cells = EtaMemo(p)
+    assert log_eta(9, 4, p).value > 0.0
+    assert predictive(Composition((3, 2, 1)), p, eta=cells).total == pytest.approx(
+        1.0, abs=1e-13
+    )
+    assert blocks_pmf(50, p, eta=memo).total == pytest.approx(1.0, abs=1e-12)
+    assert memo.quadrature_cells == 0 and cells.quadrature_cells == 0
 
 
 def test_eta_half_closed_vs_quadrature():
@@ -137,11 +168,13 @@ def test_predictive_sums_to_one_at_large_tilt(params):
 
 
 @pytest.mark.parametrize(
-    "params", [GGParams(0.5, 1.0, 1.0), GGParams(0.3, 2.0, 0.0), GGParams(0.02, 1e6, 50.0)]
+    "params", [GGParams(0.5, 1.0, 1.0), GGParams(0.3, 2.0, 5e-15), GGParams(0.02, 1e6, 50.0)]
 )
 def test_eta_quadrature_work_is_bounded(params, monkeypatch):
     # the bracket around the peak comes from a few array scans, so one eta
-    # quadrature is a few dozen log_f calls: scans plus Gauss-Kronrod panels
+    # quadrature is a few dozen log_f calls: scans plus Gauss-Kronrod panels.
+    # delta gamma = 1e-14 is where the quadrature is the oracle of the
+    # gamma = 0 closed form
     calls = []
     integrate = eppf.integrate_decaying
 
