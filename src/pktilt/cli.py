@@ -174,7 +174,7 @@ def cmd_eppf(args, params: GGParams, spec: QuadratureSpec):
     checks = [_check("additivity_residual", abs(pred.total - 1.0), 1e-8)]
     if args.oracle == "pd":
         if params.gamma != 0.0:
-            raise SystemExit("--oracle pd requires --gamma 0")
+            raise ValueError("--oracle pd requires --gamma 0")
         # eta is closed form at gamma = 0, so this checks how V and the
         # Gibbs factors are put together
         log_ref = (
@@ -225,7 +225,7 @@ def cmd_predict(args, params: GGParams, spec: QuadratureSpec):
 
 def cmd_blocks(args, params: GGParams, spec: QuadratureSpec):
     if args.n < 1:
-        raise SystemExit("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     pmf = blocks_pmf(args.n, params, eta=EtaMemo(params, spec))
     logs = [math.log(p) if p > 0 else float("-inf") for p in pmf.probabilities]
     payload = {
@@ -238,7 +238,7 @@ def cmd_blocks(args, params: GGParams, spec: QuadratureSpec):
     checks = [_check("pmf_sum_residual", abs(pmf.total - 1.0), 1e-8)]
     if args.oracle == "enum":
         if args.n > MAX_ENUMERATION_N:
-            raise SystemExit(f"--oracle enum requires --n <= {MAX_ENUMERATION_N}")
+            raise ValueError(f"--oracle enum requires --n <= {MAX_ENUMERATION_N}")
         # a memo without a table, so the check stays independent of the recurrence
         exact = exact_blocks_pmf(args.n, params, eta=EtaMemo(params, spec))
         dev = max(abs(a - b) for a, b in zip(pmf.probabilities, exact.probabilities))
@@ -294,7 +294,7 @@ def cmd_diversity(args, params: GGParams, spec: QuadratureSpec):
 
 def cmd_sample(args, params: GGParams, spec: QuadratureSpec):
     if args.n < 1 or args.replicates < 1:
-        raise SystemExit("--n and --replicates must be >= 1")
+        raise ValueError("--n and --replicates must be >= 1")
     eta = EtaMemo(params, spec)
     eta.ensure_rows(args.n)
     samples = []
@@ -330,7 +330,7 @@ def cmd_sample(args, params: GGParams, spec: QuadratureSpec):
 def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
     n_max = min(args.n_max, 8)
     if n_max < 1:
-        raise SystemExit("--n-max must be >= 1")
+        raise ValueError("--n-max must be >= 1")
     checks = []
     rows = []
     # the table serves blocks_pmf; the enumeration and predictive identities

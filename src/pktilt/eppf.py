@@ -15,11 +15,13 @@ delta) for every gamma, and no stored log eta carries a term -delta gamma
 that would round it to the float spacing of delta gamma.
 
 At gamma = 0 the model is Pitman's PD(alpha, 0) and eta is closed form,
-eta(n, k) = Gamma(k) / (alpha delta^k 2^n). At gamma > 0 eta is evaluated by
+eta(n, k) = Gamma(k) / (alpha delta^k 2^n); pktilt takes that form whenever
+delta gamma < 1e-290 (_by_quadrature). Otherwise eta is evaluated by
 quadrature after the substitution u = delta w^alpha, over the offset
 u - delta gamma in (0, inf), where the integrand decays exponentially
-(integrate_decaying). Its gap to the closed form is about delta gamma, so
-tests check the closed form against the quadrature at delta gamma = 1e-14.
+(integrate_decaying). Its gap to the closed form shrinks about as
+delta gamma log(1 / delta gamma), so tests check the closed form against
+the quadrature at delta gamma = 1e-14.
 At alpha = 1/2, gamma > 0 there is also a finite sum of upper incomplete
 gamma functions (substitution t = delta sqrt(gamma^2 + 2 lam) and a
 binomial expansion). The sum alternates and loses digits as n grows, so it
@@ -75,6 +77,13 @@ _LN2 = math.log(2.0)
 
 _MAX_DIGIT_LOSS = 6.0
 
+# delta gamma below which eta takes its gamma = 0 form. Above it, the
+# integrand's x / (delta gamma) stays finite for offsets x up to 1e18. Below
+# it, the gap to the closed form is far below float resolution: it shrinks
+# about as delta gamma log(1 / delta gamma), and is 5e-11 in log at
+# delta gamma = 1e-15, n = 3000, alpha = 0.98.
+_MIN_QUADRATURE_TILT = 1e-290
+
 
 @dataclass(frozen=True)
 class Composition:
@@ -126,14 +135,17 @@ class PredictiveDistribution:
         return math.fsum(self.existing) + self.new_block
 
 
+def _by_quadrature(params: GGParams) -> bool:
+    """Whether eta is computed by quadrature, not in its gamma = 0 form."""
+    return params.delta * params.gamma >= _MIN_QUADRATURE_TILT
+
+
 def _log_eta_cell(n: int, k: int, params: GGParams, spec: QuadratureSpec) -> float:
-    """log eta(n, k): the closed form at gamma = 0, quadrature otherwise."""
+    """log eta(n, k): quadrature if _by_quadrature(params), else closed form."""
     alpha, delta = params.alpha, params.delta
-    u0 = delta * params.gamma
-    # u0, not gamma: a product that underflows to 0 leaves the quadrature no
-    # offset to integrate over, and its eta is the gamma = 0 one
-    if u0 == 0.0:
+    if not _by_quadrature(params):
         return math.lgamma(k) - n * _LN2 - k * math.log(delta) - math.log(alpha)
+    u0 = delta * params.gamma
     c = k * alpha - n + 1.0 - alpha
     # lam = (w - gamma^(1/alpha)) / 2 is taken in log scale, since w overflows
     # at small alpha. The 2^(1-n) of lam^(n-1) is folded into log_norm.
@@ -164,7 +176,8 @@ def _validate_nk(n: int, k: int) -> None:
 
 
 def log_eta(n: int, k: int, params: GGParams, spec: QuadratureSpec | None = None) -> LogValue:
-    """log of eta(n, k) as a LogValue: closed form at gamma = 0, else quadrature."""
+    """log of eta(n, k) as a LogValue: the gamma = 0 closed form when
+    delta gamma < 1e-290 (gamma = 0 included), quadrature otherwise."""
     _validate_nk(n, k)
     if spec is None:
         spec = DEFAULT_QUADRATURE
@@ -255,12 +268,12 @@ def _memo_for(params: GGParams, eta: EtaMemo | None) -> EtaMemo:
 class EtaMemo:
     """Memoized log eta(n, k) values for one parameter set.
 
-    ensure_rows(n_top) computes the top row as log_eta does (n_top
-    quadratures at gamma > 0, closed form at gamma = 0) and fills every row
-    below through the exact downward recurrence. Cells outside the table are
-    computed on demand the same way and cached; quadrature_cells counts the
-    integrals run. spec, the quadrature settings, reaches every eta consumer
-    only through its memo.
+    ensure_rows(n_top) computes the top row as log_eta does (the closed form
+    when delta gamma < 1e-290, gamma = 0 included, else n_top quadratures)
+    and fills every row below through the exact downward recurrence. Cells
+    outside the table are computed on demand the same way and cached;
+    quadrature_cells counts the integrals run. spec, the quadrature
+    settings, reaches every eta consumer only through its memo.
     """
 
     def __init__(self, params: GGParams, spec: QuadratureSpec | None = None):
@@ -269,7 +282,7 @@ class EtaMemo:
         self._rows: dict[int, np.ndarray] = {}
         self._top = 0
         self._cells: dict[tuple[int, int], float] = {}
-        self._by_quadrature = params.delta * params.gamma != 0.0
+        self._by_quadrature = _by_quadrature(params)
         self.quadrature_cells = 0
 
     def ensure_rows(self, n_top: int) -> None:

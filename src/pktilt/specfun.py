@@ -7,16 +7,20 @@ does its arithmetic through LogValue and exponentiates only at the boundary.
 
 integrate_decaying brackets its integrand from array scans only, zooming in
 on the peak until both neighbours of the best point are within 1 nat of it.
-It never returns a non-finite value: a peak unresolved at float resolution,
-or a total that is not finite after rescaling, raises QuadratureError.
+One Gauss-Kronrod heap, seeded with panels graded out from the peak, then
+integrates from the lower limit to the bracket's end; doubling panels take
+the right tail. It never returns a non-finite value: a peak unresolved at
+float resolution, or a total that is not finite after rescaling, raises
+QuadratureError.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EULER_GAMMA = 0.5772156649015328606
 
 
@@ -90,7 +95,7 @@ class LogValue:
         underflows to 0.0 below it."""
         if self.sign == 0:
             return 0.0
-        if self.log_magnitude > 709.0:
+        if self.log_magnitude > _LOG_FLOAT_MAX:
             return self.sign * math.inf
         return self.sign * math.exp(self.log_magnitude)
 
@@ -321,6 +326,11 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # core Gauss-Kronrod splits allowed per integral
 MAX_SUBDIVISIONS = 2 ** 15
 
+# the core's seed edges step _GRADING-fold out from the peak, and in toward
+# lower down to the bracket scan's first offset, _FIRST_OFFSET max(1, |lower|)
+_GRADING = 4.0
+_FIRST_OFFSET = 1e-12
+
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]; nodes sorted, the
 # Gauss subset sits at the odd indices.
 _XK = np.array([
@@ -347,22 +357,23 @@ def _eval_log(log_f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nd
     return np.where(np.isnan(v), _NEG_INF, v)
 
 
-def _panel(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    v = fn(c + h * _GK_NODES)
-    ik = h * float(np.dot(_GK_WEIGHTS, v))
-    ig = h * float(np.dot(_G7_WEIGHTS, v[1::2]))
+def _panels(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[list[float], list[float]]:
+    # GK estimates and error models of the panels [lo[i], hi[i]], hi > lo,
+    # all from one call of fn
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_NODES
+    v = fn(x.ravel()).reshape(x.shape)
+    ik = h * (v @ _GK_WEIGHTS)
     # error model with the roughness rescaling: |ik - ig| alone under-reports
     # on panels touching an integrable singularity
-    resabs = h * float(np.dot(_GK_WEIGHTS, np.abs(v)))
-    mean = ik / (b - a) if b > a else 0.0
-    resasc = h * float(np.dot(_GK_WEIGHTS, np.abs(v - mean)))
-    err = abs(ik - ig)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 10.0 * 2.220446049250313e-16 * resabs)
-    return ik, err
+    err = np.abs(ik - h * (v[:, 1::2] @ _G7_WEIGHTS))
+    resabs = h * (np.abs(v) @ _GK_WEIGHTS)
+    resasc = h * (np.abs(v - (ik / (hi - lo))[:, None]) @ _GK_WEIGHTS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return ik.tolist(), np.maximum(err, 10.0 * 2.220446049250313e-16 * resabs).tolist()
 
 
 def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]:
@@ -372,7 +383,7 @@ def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]
     scale = max(1.0, abs(lower))
     hi = 1e10 * scale
     while True:
-        g = np.geomspace(1e-12 * scale, hi, 131)
+        g = np.geomspace(_FIRST_OFFSET * scale, hi, 131)
         v = _eval_log(log_f, lower + g)
         i = int(np.argmax(v))
         if v[i] > _NEG_INF and i < len(g) - 1:
@@ -416,6 +427,29 @@ def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]
     return m_log, tuple(lower + t for t in (a, *near, float(np.min(beyond))))
 
 
+def _core_edges(lower: float, seeds: tuple[float, ...]) -> list[float]:
+    # seed edges of the heap over [lower, b]: lower, the bracket's seeds, and
+    # points graded out from the peak, each step _GRADING times the last
+    a, left, peak, right, b = seeds
+    edges = {lower, *seeds}
+    h = right - peak
+    while h > 0.0 and peak + h < b:
+        edges.add(peak + h)
+        h *= _GRADING
+    h = peak - left
+    while h > 0.0 and peak - h > a:
+        edges.add(peak - h)
+        h *= _GRADING
+    # left of the last left step, keep grading in toward lower, down to a or,
+    # where log f never fell below the cut, to the scan's first offset
+    floor = a - lower if a > lower else _FIRST_OFFSET * max(1.0, abs(lower))
+    offset = min(e for e in edges if e > a) - lower
+    while offset / _GRADING > floor:
+        offset /= _GRADING
+        edges.add(lower + offset)
+    return sorted(edges)
+
+
 def integrate_decaying(
     log_f: Callable[[np.ndarray], np.ndarray],
     lower: float,
@@ -432,11 +466,16 @@ def integrate_decaying(
     between the neighbours of the best point repeat until both neighbours
     are within 1 nat of it, which takes about a dozen zooms at most. The
     engine rescales by that maximum and takes as the bracket [a, b] the
-    nearest scanned offsets on each side where log f is at least D below it;
-    a heavy right tail gets one more scan out to 1e290. It then runs
-    adaptive 15-point Gauss-Kronrod on [a, b], seeded at the peak and its
-    scanned neighbours, and sweeps the tails with geometrically growing (right) and shrinking (left)
-    panels until their contributions are negligible.
+    nearest scanned offsets on each side where log f is at least the cut
+    D = max(45, 30 - log rtol) below it; a heavy right tail gets one more
+    scan out to 1e290.
+
+    One adaptive 15-point Gauss-Kronrod heap covers [lower, b]. Its seed
+    edges are lower, a, the peak, its neighbours, and points graded out from
+    the peak in steps growing 4-fold from the neighbour's distance; left of
+    those, offsets from lower shrink 4-fold down to a, or, if a = lower, to
+    the scan's first offset. The seed panels take one log_f call and each
+    split one more. Doubling panels then sweep the right tail beyond b.
 
     Raises QuadratureError for an integrand that does not decay, for a peak
     still unresolved when the zoom interval reaches float resolution (a
@@ -457,24 +496,16 @@ def integrate_decaying(
     def fn(x: np.ndarray) -> np.ndarray:
         return np.exp(_eval_log(log_f, x) - m_log)
 
-    # core: adaptive GK on [a, b], seeded with panels split at the peak and
-    # at its scanned neighbours, so that a kink at the true maximum lies
-    # inside a panel narrow enough for the GK nodes to straddle it
-    edges = sorted(set(seeds) | {a + (b - a) * j / 8.0 for j in range(1, 8)})
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    errsum = 0.0
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        if hi_e <= lo_e:
-            continue
-        ik, err = _panel(fn, lo_e, hi_e)
-        heapq.heappush(heap, (-err, counter, lo_e, hi_e, ik, err))
-        counter += 1
-        total += ik
-        errsum += err
-    splits = 0
-    stuck_err = 0.0
+    # core: adaptive GK on [lower, b]. A kink at the true maximum lies inside
+    # a panel narrow enough for the GK nodes to straddle it, and the seed
+    # panels widen with the distance from the peak, so a feature far from it
+    # (a rise next to lower) still meets panels of its own scale
+    edges = _core_edges(lower, seeds)
+    iks, errs = _panels(fn, edges[:-1], edges[1:])
+    heap = list(zip([-e for e in errs], range(len(errs)), edges[:-1], edges[1:], iks, errs))
+    heapq.heapify(heap)
+    counter, total, errsum = len(heap), sum(iks), sum(errs)
+    splits, stuck_err = 0, 0.0
     while errsum - stuck_err > 0.0 and errsum > 0.25 * rtol * max(abs(total), 1e-300) and heap:
         if splits >= MAX_SUBDIVISIONS:
             raise QuadratureError(
@@ -487,23 +518,19 @@ def integrate_decaying(
             # unrefinable at float resolution; its error stays counted
             stuck_err += err
             continue
-        ik1, err1 = _panel(fn, lo_e, mid)
-        ik2, err2 = _panel(fn, mid, hi_e)
+        (ik1, ik2), (err1, err2) = _panels(fn, [lo_e, mid], [mid, hi_e])
         total += ik1 + ik2 - ik
         errsum += err1 + err2 - err
         heapq.heappush(heap, (-err1, counter, lo_e, mid, ik1, err1))
-        counter += 1
-        heapq.heappush(heap, (-err2, counter, mid, hi_e, ik2, err2))
-        counter += 1
+        heapq.heappush(heap, (-err2, counter + 1, mid, hi_e, ik2, err2))
+        counter += 2
         splits += 1
 
     # right tail: doubling panels until provably negligible
     h = max(b - a, 1e-3 * max(1.0, abs(lower)))
-    t_edge = b
-    c_prev = math.inf
-    consec = 0
+    t_edge, c_prev, consec = b, math.inf, 0
     for _ in range(2000):
-        ik, err = _panel(fn, t_edge, t_edge + h)
+        (ik,), (err,) = _panels(fn, [t_edge], [t_edge + h])
         total += ik
         errsum += err
         c = abs(ik)
@@ -523,35 +550,6 @@ def integrate_decaying(
             raise QuadratureError("right tail does not decay; integral may diverge")
     else:
         raise QuadratureError("right tail sweep did not converge")
-
-    # left tail: halving panels from a down toward the boundary
-    if a > lower:
-        width = a - lower
-        t_hi = a
-        w = width / 2.0
-        c_prev = math.inf
-        consec = 0
-        for _ in range(1200):
-            if w <= 0.0 or t_hi - w <= lower:
-                break
-            ik, err = _panel(fn, t_hi - w, t_hi)
-            total += ik
-            errsum += err
-            c = abs(ik)
-            t_hi -= w
-            w /= 2.0
-            tol_abs = rtol * max(abs(total), 1e-300) / 64.0
-            if c <= tol_abs and c <= c_prev:
-                consec += 1
-                if consec >= 2:
-                    break
-            else:
-                consec = 0
-            c_prev = c
-        if t_hi > lower:
-            ik, err = _panel(fn, lower, t_hi)  # boundary stub; nodes stay interior
-            total += ik
-            errsum += err
 
     if not (math.isfinite(total) and math.isfinite(errsum)):
         raise QuadratureError(

@@ -245,6 +245,11 @@ def test_bad_arguments_exit_two(capsys):
         ["eppf", "--alpha", "0.25", "--delta", "1.0", "--gamma", "1.0",
          "--composition", "2,1", "--method", "closed"],         # unknown option
         ["nosuchcommand"],
+        ["blocks", *BASE, "--n", "0"],                          # n below 1
+        ["eppf", *BASE, "--composition", "2,1", "--oracle", "pd"],  # pd oracle at gamma != 0
+        ["blocks", *BASE, "--n", "12", "--oracle", "enum"],     # enumeration too large
+        ["sample", *BASE, "--n", "5", "--replicates", "0"],     # no replicates
+        ["validate", *BASE, "--n-max", "0"],                    # n-max below 1
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:

@@ -171,8 +171,9 @@ def test_predictive_sums_to_one_at_large_tilt(params):
     "params", [GGParams(0.5, 1.0, 1.0), GGParams(0.3, 2.0, 5e-15), GGParams(0.02, 1e6, 50.0)]
 )
 def test_eta_quadrature_work_is_bounded(params, monkeypatch):
-    # the bracket around the peak comes from a few array scans, so one eta
-    # quadrature is a few dozen log_f calls: scans plus Gauss-Kronrod panels.
+    # the bracket around the peak comes from a few array scans, and the
+    # Gauss-Kronrod heap takes one log_f call for its seed panels and one per
+    # split, so one eta quadrature is about ten log_f calls.
     # delta gamma = 1e-14 is where the quadrature is the oracle of the
     # gamma = 0 closed form
     calls = []
@@ -192,6 +193,32 @@ def test_eta_quadrature_work_is_bounded(params, monkeypatch):
         log_eta(n, k, params)
     assert len(calls) == 3
     assert max(calls) <= 50, calls
+
+
+@pytest.mark.parametrize("spec", [None, TIGHT], ids=["default", "tight"])
+def test_eta_small_tilt_matches_reference(spec):
+    # mpmath reference (40 digits) for log eta(2, 1) at (0.4, 1e-6, 2), tilt
+    # factor included: the integrand rises over offsets of order delta gamma =
+    # 2e-6, far left of its peak
+    le = log_eta(2, 1, GGParams(0.4, 1e-6, 2.0), spec).log_magnitude
+    assert abs(le - 13.3455055953896363) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha,delta,gamma,n", [
+    (0.5, 1e-154, 1e-154, 20), (0.5, 1e-160, 1e-160, 20),
+    (0.5, 1.0, 3e-308, 20), (0.5, 1.0, 1e-307, 20),
+    (0.5, 1.0, 1e-289, 3000), (0.9, 1.0, 1e-289, 3000),
+])
+def test_eta_tiny_tilt_sums_to_one(alpha, delta, gamma, n):
+    # delta gamma subnormal or just above the smallest normal float: the
+    # integrand's x / (delta gamma) overflows, and eta takes its gamma = 0
+    # form. At 1e-289, just above that threshold, the quadrature runs with
+    # x / (delta gamma) up to about 1e307 and must still sum to 1
+    p = GGParams(alpha, delta, gamma)
+    eta = EtaMemo(p)
+    assert abs(math.fsum(blocks_pmf(n, p, eta=eta).probabilities) - 1.0) <= 1e-8
+    assert eta.quadrature_cells == (n if delta * gamma >= 1e-290 else 0)
+    assert abs(predictive(Composition((3, 2, 1)), p).total - 1.0) <= 1e-8
 
 
 def test_eta_monotone_in_k_when_tilt_exceeds_one():

@@ -73,6 +73,13 @@ def test_logvalue_beyond_float_range():
     assert (big * tiny).value == pytest.approx(1.0, rel=1e-13)
 
 
+def test_logvalue_value_saturates_only_past_float_max():
+    # exp(709.5) = 1.35e308 is a finite float; exp(710) is not
+    assert LogValue.from_log(709.5).value == math.exp(709.5)
+    assert LogValue.from_log(709.5, -1).value == -math.exp(709.5)
+    assert LogValue.from_log(710.0).value == math.inf
+
+
 def test_logvalue_subtraction_of_close_values():
     a = LogValue.from_log(0.0)
     b = LogValue.from_log(math.log1p(1e-9))
@@ -274,6 +281,31 @@ def test_integrate_never_returns_infinity(mu, sig):
     except QuadratureError:
         return
     assert r.log_magnitude == pytest.approx(math.log(sig * math.sqrt(2.0 * math.pi)), abs=1e-8)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_integrate_boundary_rise(rtol):
+    # e^-t (1 - e^(-t/eps)) rises from 0 over a width eps next to the lower
+    # limit; with an extra factor (1 - e^(-t/0.01)/2) the rise holds a share
+    # of about eps of the mass, far left of the peak. Exact masses:
+    # int e^-t (1 - e^(-t/eps)) dt = 1 / (1 + eps), and
+    # int e^-t (1 - e^(-t/c)/2) (1 - e^(-t/eps)) dt
+    #   = 1 - 1/(1 + 1/eps) - (1/2)/(1 + 1/c) + (1/2)/(1 + 1/c + 1/eps).
+    def rise(t, eps):
+        with np.errstate(divide="ignore"):
+            return np.log(-np.expm1(-t / eps))
+
+    c = 0.01
+    cases = [
+        (lambda t: -t + rise(t, 1e-3), -math.log1p(1e-3)),
+        (lambda t: -t + rise(t, 1e-4), -math.log1p(1e-4)),
+        (lambda t: -t + np.log1p(-0.5 * np.exp(-t / c)) + rise(t, 2e-6),
+         math.log(1.0 - 1.0 / (1.0 + 1.0 / 2e-6) - 0.5 / (1.0 + 1.0 / c)
+                  + 0.5 / (1.0 + 1.0 / c + 1.0 / 2e-6))),
+    ]
+    for log_f, exact in cases:
+        r = integrate_decaying(log_f, 0.0, QuadratureSpec(rtol))
+        assert abs(r.log_magnitude - exact) <= rtol, (r.log_magnitude, exact)
 
 
 def test_integrate_huge_log_offset():
