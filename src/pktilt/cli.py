@@ -5,7 +5,10 @@ echoes its parameters, tolerances and (where used) seed; JSON output is a
 single object, CSV is one row per grid point with a fixed header. Each
 command carries internal self-checks and the exit code is 0 iff they all
 pass. --tolerance sets the quadrature tolerance; each handler reads eta
-through one EtaMemo built with it.
+through one EtaMemo built with it. A value the numerics cannot certify
+(QuadratureError, CancellationError) is reported, not raised: the JSON
+envelope carries "error": {"type", "message"} and "passed": false, the
+message also goes to stderr, and the exit code is _EXIT_NUMERICS.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from . import __version__
 from .specfun import (
     CancellationError,
     DEFAULT_QUADRATURE,
+    QuadratureError,
     QuadratureSpec,
     integrate_decaying,
     log_rising_factorial,
@@ -32,6 +36,14 @@ from .oracle import MAX_ENUMERATION_N, enumerate_set_partitions, exact_blocks_pm
 from .sampler import _replicate_rng, monte_carlo_blocks, sample_partition
 
 __all__ = ["main", "build_parser"]
+
+# exit code of a request whose numerics raised QuadratureError or
+# CancellationError (0: every self-check passed, 1: one failed, 2: bad arguments)
+_EXIT_NUMERICS = 3
+
+# the default Monte Carlo TV gate: the expected TV of an exact sampler plus
+# this many of its standard deviations (see _tv_gate)
+_TV_MARGIN_SDS = 6.0
 
 
 def _parse_composition(text: str) -> Composition:
@@ -107,13 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", action="store_true", help="also run a Monte Carlo block-count check")
     p.add_argument("--mc-n", type=int, default=20)
     p.add_argument("--replicates", type=int, default=100_000)
-    p.add_argument("--tv-threshold", type=float, default=0.01)
+    p.add_argument("--tv-threshold", type=float, default=None,
+                   help="Monte Carlo TV gate (default: the TV noise floor of an exact "
+                        f"sampler plus {_TV_MARGIN_SDS:g} of its standard deviations)")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def _envelope(args, spec: QuadratureSpec, payload: dict, checks: list[dict]) -> dict:
+def _envelope(
+    args, spec: QuadratureSpec, payload: dict, checks: list[dict], error: dict | None = None
+) -> dict:
     out = {
         "command": args.command,
         "version": __version__,
@@ -128,7 +144,9 @@ def _envelope(args, spec: QuadratureSpec, payload: dict, checks: list[dict]) -> 
         out["seed"] = args.seed
     out.update(payload)
     out["self_checks"] = checks
-    out["passed"] = all(c["passed"] for c in checks)
+    if error is not None:
+        out["error"] = error
+    out["passed"] = error is None and all(c["passed"] for c in checks)
     return out
 
 
@@ -143,6 +161,23 @@ def _check(name: str, value: float, threshold: float) -> dict:
 
 def _skipped_check(name: str, reason: str) -> dict:
     return {"name": name, "skipped": reason, "passed": True}
+
+
+def _tv_gate(pmf, replicates: int) -> tuple[float, float]:
+    """The noise floor of the block-count TV of an exact sampler, and the
+    default gate on it.
+
+    With R replicates the empirical frequency of k is about normal around p_k
+    with variance s_k^2 = p_k (1 - p_k) / R, so the expected TV is the floor
+    0.5 sum_k s_k sqrt(2 / pi). Treating the |deviations| as independent, the
+    TV's standard deviation is 0.5 sqrt((1 - 2 / pi) sum_k s_k^2); the gate
+    adds _TV_MARGIN_SDS of them to the floor.
+    """
+    p = np.asarray(pmf, dtype=float)
+    var = p * (1.0 - p) / replicates
+    floor = 0.5 * float(np.sum(np.sqrt(2.0 * var / math.pi)))
+    sd = 0.5 * math.sqrt((1.0 - 2.0 / math.pi) * float(np.sum(var)))
+    return floor, floor + _TV_MARGIN_SDS * sd
 
 
 def _csv(header: str, rows: list[str]) -> str:
@@ -365,16 +400,20 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
         report = monte_carlo_blocks(
             args.mc_n, params, args.replicates, args.seed, eta=EtaMemo(params, spec)
         )
+        floor, threshold = _tv_gate(report.reference_pmf, report.replicates)
+        if args.tv_threshold is not None:
+            threshold = args.tv_threshold
         payload["mc"] = {
             "n": report.n,
             "replicates": report.replicates,
             "seed": report.seed,
             "tv_distance": report.tv_distance,
+            "tv_noise_floor": floor,
         }
-        checks.append(_check("mc_block_count_tv", report.tv_distance, args.tv_threshold))
+        checks.append(_check("mc_block_count_tv", report.tv_distance, threshold))
         rows.append(
             f"mc_block_count_tv,n={report.n},{report.tv_distance!r},"
-            f"{args.tv_threshold!r},{report.tv_distance <= args.tv_threshold}"
+            f"{threshold!r},{report.tv_distance <= threshold}"
         )
     header = "check,detail,value,threshold,passed"
     return payload, checks, _csv(header, rows)
@@ -398,12 +437,17 @@ def main(argv=None) -> int:
         spec = QuadratureSpec(relative_tolerance=args.tolerance)
     except ValueError as exc:
         parser.error(str(exc))
+    error = None
     try:
         payload, checks, csv_text = _HANDLERS[args.command](args, params, spec)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
+    except (QuadratureError, CancellationError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        payload, checks, csv_text = {}, [], ""
+        print(f"{parser.prog} {args.command}: {error['type']}: {error['message']}", file=sys.stderr)
     if args.format == "json":
-        text = json.dumps(_envelope(args, spec, payload, checks), indent=2) + "\n"
+        text = json.dumps(_envelope(args, spec, payload, checks, error), indent=2) + "\n"
     else:
         text = csv_text
     if args.out:
@@ -411,6 +455,8 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if error is not None:
+        return _EXIT_NUMERICS
     return 0 if all(c["passed"] for c in checks) else 1
 
 

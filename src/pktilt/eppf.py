@@ -18,10 +18,18 @@ At gamma = 0 the model is Pitman's PD(alpha, 0) and eta is closed form,
 eta(n, k) = Gamma(k) / (alpha delta^k 2^n); pktilt takes that form whenever
 delta gamma < 1e-290 (_by_quadrature). Otherwise eta is evaluated by
 quadrature after the substitution u = delta w^alpha, over the offset
-u - delta gamma in (0, inf), where the integrand decays exponentially
-(integrate_decaying). Its gap to the closed form shrinks about as
-delta gamma log(1 / delta gamma), so tests check the closed form against
-the quadrature at delta gamma = 1e-14.
+x = u - delta gamma in (0, inf), where the integrand decays exponentially.
+Its gap to the closed form shrinks about as delta gamma log(1 / delta gamma),
+so tests check the closed form against the quadrature at
+delta gamma = 1e-14.
+
+In x, every eta(n, k) of a row n has the log-integrand B(x) + k D(x), with
+D increasing (_eta_log_terms). One cell is one integrate_decaying call
+(_log_eta_cell, the route of log_eta and of cells off the memo's table). A
+whole row is one pass of specfun._integrate_family over a shared set of
+Gauss-Kronrod panels (_log_eta_row, the route of EtaMemo.ensure_rows):
+each k is certified by integrate_decaying's error model and final test,
+and a k that fails it is integrated as a cell instead.
 At alpha = 1/2, gamma > 0 there is also a finite sum of upper incomplete
 gamma functions (substitution t = delta sqrt(gamma^2 + 2 lam) and a
 binomial expansion). The sum alternates and loses digits as n grows, so it
@@ -38,8 +46,8 @@ derivative of lam^n e^(-delta w^alpha) w^(k alpha - n) over (0, inf)):
     n eta(n, k) = 2 delta alpha eta(n+1, k+1) + 2 (n - k alpha) eta(n+1, k)
 
 whose coefficients are positive for k <= n. EtaMemo exploits it: one top
-row (closed form or quadrature) seeds the whole triangle, which is both
-faster and more accurate than quadrature per cell.
+row (closed form or one row quadrature) seeds the whole triangle, which is
+both faster and more accurate than quadrature per cell.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .specfun import (
     DEFAULT_QUADRATURE,
     LogValue,
     QuadratureSpec,
+    _integrate_family,
     integrate_decaying,
     log_binomial,
     log_rising_factorial,
@@ -140,32 +149,75 @@ def _by_quadrature(params: GGParams) -> bool:
     return params.delta * params.gamma >= _MIN_QUADRATURE_TILT
 
 
+def _eta_log_terms(n: int, params: GGParams):
+    """The integrand of row n of eta at delta gamma > 0, over the offset
+    x = u - delta gamma in (0, inf): log f_k(x) = B(x) + k D(x), returned as
+    the function x -> (B(x), D(x)).
+
+    With s = alpha (log w - log gamma^(1/alpha)) = log1p(x / (delta gamma)),
+    g = log(delta gamma) - log delta and log_norm = log(2 alpha delta) +
+    (n - 1) log 2,
+
+        D = g + s,
+        B = -g - log_norm - x - s + (n - 1) log(1 - e^(-s / alpha)).
+
+    s keeps its digits near the lower limit even when delta gamma is large,
+    lam = (w - gamma^(1/alpha)) / 2 enters in log scale (w overflows at small
+    alpha), and the 2^(1-n) of lam^(n-1) is folded into log_norm. The tilt
+    factor e^(delta gamma) of eta cancels e^(-u) at the lower limit exactly,
+    so neither enters in floating point. No term of size (n - 1) s / alpha
+    is formed: the w^(k alpha - n) of the integrand and the w^(n-1) of
+    lam^(n-1) cancel to w^(k alpha - alpha) before rounding.
+    """
+    alpha, delta = params.alpha, params.delta
+    u0 = delta * params.gamma
+    g = math.log(u0) - math.log(delta)
+    base0 = -g - math.log(2.0 * alpha * delta) - (n - 1) * _LN2
+
+    def log_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = np.log1p(x / u0)
+        base = base0 - x - s
+        if n > 1:
+            with np.errstate(divide="ignore"):
+                base += (n - 1) * np.log(-np.expm1(-s / alpha))
+        return base, g + s
+
+    return log_terms
+
+
 def _log_eta_cell(n: int, k: int, params: GGParams, spec: QuadratureSpec) -> float:
     """log eta(n, k): quadrature if _by_quadrature(params), else closed form."""
     alpha, delta = params.alpha, params.delta
     if not _by_quadrature(params):
         return math.lgamma(k) - n * _LN2 - k * math.log(delta) - math.log(alpha)
-    u0 = delta * params.gamma
-    c = k * alpha - n + 1.0 - alpha
-    # lam = (w - gamma^(1/alpha)) / 2 is taken in log scale, since w overflows
-    # at small alpha. The 2^(1-n) of lam^(n-1) is folded into log_norm.
-    log_norm = math.log(2.0 * alpha * delta) + (n - 1) * _LN2
-    # integrate over the offset x = u - u0, so that
-    # d = log w - log gamma^(1/alpha) = log1p(x / u0) / alpha keeps its digits
-    # near the lower limit even when u0 is large. The tilt factor e^(u0) of
-    # eta cancels e^(-u0) exactly, so neither enters in floating point.
-    log_gr = (math.log(u0) - math.log(delta)) / alpha
-    const = (c + n - 1) * log_gr - log_norm
+    log_terms = _eta_log_terms(n, params)
 
     def log_f(x: np.ndarray) -> np.ndarray:
-        d = np.log1p(x / u0) / alpha
-        out = const - x + c * d
-        if n > 1:
-            with np.errstate(divide="ignore"):
-                out = out + (n - 1) * (d + np.log(-np.expm1(-d)))
-        return out
+        base, rate = log_terms(x)
+        return base + k * rate
 
     return integrate_decaying(log_f, 0.0, spec).log_magnitude
+
+
+def _log_eta_row(n: int, params: GGParams, spec: QuadratureSpec) -> np.ndarray:
+    """log eta(n, k) for k = 1..n at index k - 1: the closed form if not
+    _by_quadrature(params), else one quadrature of the whole row.
+
+    Every k of the row shares the integrand family B + k D of
+    _eta_log_terms, and D increases in x, so one panel set serves the row
+    (specfun._integrate_family), certified k by k with integrate_decaying's
+    error model and final test at spec's tolerance. A k the family cannot
+    certify is integrated on its own by _log_eta_cell, which raises
+    QuadratureError if that fails too.
+    """
+    ks = np.arange(1, n + 1)
+    if not _by_quadrature(params):
+        lgam = np.array([math.lgamma(k) for k in range(1, n + 1)])
+        return lgam - n * _LN2 - ks * math.log(params.delta) - math.log(params.alpha)
+    row, failed = _integrate_family(_eta_log_terms(n, params), ks, 0.0, spec)
+    for k in np.flatnonzero(failed) + 1:
+        row[k - 1] = _log_eta_cell(n, int(k), params, spec)
+    return row
 
 
 def _validate_nk(n: int, k: int) -> None:
@@ -268,12 +320,15 @@ def _memo_for(params: GGParams, eta: EtaMemo | None) -> EtaMemo:
 class EtaMemo:
     """Memoized log eta(n, k) values for one parameter set.
 
-    ensure_rows(n_top) computes the top row as log_eta does (the closed form
-    when delta gamma < 1e-290, gamma = 0 included, else n_top quadratures)
-    and fills every row below through the exact downward recurrence. Cells
-    outside the table are computed on demand the same way and cached;
-    quadrature_cells counts the integrals run. spec, the quadrature
-    settings, reaches every eta consumer only through its memo.
+    ensure_rows(n_top) computes the top row by _log_eta_row: the closed form
+    when delta gamma < 1e-290, gamma = 0 included, else one quadrature pass
+    over the row's shared panels, which certifies each k at spec's tolerance
+    with the same error model as a cell and integrates any k it cannot
+    certify as its own cell. It fills every row below through the exact
+    downward recurrence. Cells outside the table are computed on demand as
+    log_eta does and cached. quadrature_cells counts the eta values
+    integrated, n_top for a top row at delta gamma >= 1e-290. spec, the
+    quadrature settings, reaches every eta consumer only through its memo.
     """
 
     def __init__(self, params: GGParams, spec: QuadratureSpec | None = None):
@@ -293,8 +348,7 @@ class EtaMemo:
             return
         alpha, delta = self.params.alpha, self.params.delta
         top = np.full(n_top + 2, -np.inf)
-        for k in range(1, n_top + 1):
-            top[k] = _log_eta_cell(n_top, k, self.params, self.spec)
+        top[1:n_top + 1] = _log_eta_row(n_top, self.params, self.spec)
         self.quadrature_cells += n_top * self._by_quadrature
         rows = {n_top: top}
         log_2ad = math.log(2.0 * alpha * delta)

@@ -11,7 +11,15 @@ One Gauss-Kronrod heap, seeded with panels graded out from the peak, then
 integrates from the lower limit to the bracket's end; doubling panels take
 the right tail. It never returns a non-finite value: a peak unresolved at
 float resolution, or a total that is not finite after rescaling, raises
-QuadratureError.
+QuadratureError. An error sum that stops falling has met the integrand's
+rounding floor: refinement stops there, and the final test decides at once
+instead of after the whole subdivision budget.
+
+_integrate_family integrates a family exp(B + k D) with D increasing, one
+integral per k, on one shared panel set refined in vectorised rounds, and
+certifies each k with the same error model and final test; it reports the
+k it cannot certify instead of raising. EtaMemo builds each top row of eta
+with it.
 """
 
 from __future__ import annotations
@@ -326,6 +334,17 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # core Gauss-Kronrod splits allowed per integral
 MAX_SUBDIVISIONS = 2 ** 15
 
+# an adaptive loop that has split as many panels as it holds (at least
+# _MIN_STALL_WINDOW) without cutting its error sum to _STALL_FACTOR of what it
+# was has met the integrand's rounding floor: a panel whose values carry
+# rounding noise splits into two with the same noise between them. It stops
+# refining there, and the final test decides
+_MIN_STALL_WINDOW = 64
+_STALL_FACTOR = 0.5
+
+# the family integrator forms B + k D in blocks of at most this many floats
+_BLOCK_FLOATS = 2 ** 14
+
 # the core's seed edges step _GRADING-fold out from the peak, and in toward
 # lower down to the bracket scan's first offset, _FIRST_OFFSET max(1, |lower|)
 _GRADING = 4.0
@@ -357,23 +376,29 @@ def _eval_log(log_f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nd
     return np.where(np.isnan(v), _NEG_INF, v)
 
 
-def _panels(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[list[float], list[float]]:
-    # GK estimates and error models of the panels [lo[i], hi[i]], hi > lo,
-    # all from one call of fn
+def _panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    # the GK nodes of the panels [lo[i], hi[i]], one row each, and their
+    # half-widths
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     h = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_NODES
-    v = fn(x.ravel()).reshape(x.shape)
+    return (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_NODES, h
+
+
+def _panels(v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # GK estimates and error models of panels of half-widths h from the
+    # integrand's values v at their nodes; v has shape (..., len(h), 15), a
+    # leading axis holding one integrand of a family each
     ik = h * (v @ _GK_WEIGHTS)
     # error model with the roughness rescaling: |ik - ig| alone under-reports
     # on panels touching an integrable singularity
-    err = np.abs(ik - h * (v[:, 1::2] @ _G7_WEIGHTS))
+    err = np.abs(ik - h * (v[..., 1::2] @ _G7_WEIGHTS))
     resabs = h * (np.abs(v) @ _GK_WEIGHTS)
-    resasc = h * (np.abs(v - (ik / (hi - lo))[:, None]) @ _GK_WEIGHTS)
+    dev = v - (ik / (2.0 * h))[..., None]
+    resasc = h * (np.abs(dev, out=dev) @ _GK_WEIGHTS)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return ik.tolist(), np.maximum(err, 10.0 * 2.220446049250313e-16 * resabs).tolist()
+    return ik, np.maximum(err, 10.0 * 2.220446049250313e-16 * resabs)
 
 
 def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]:
@@ -481,7 +506,9 @@ def integrate_decaying(
     still unresolved when the zoom interval reaches float resolution (a
     spike narrower than the float spacing, or a jump at the maximum), for a
     total or error estimate that is not finite, or if the requested relative
-    tolerance cannot be certified within MAX_SUBDIVISIONS core splits.
+    tolerance cannot be certified: within MAX_SUBDIVISIONS core splits, or
+    once the error sum has stalled at the integrand's rounding floor (a
+    window of max(64, panels) splits that does not halve it).
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
@@ -493,32 +520,39 @@ def integrate_decaying(
         return LogValue.zero()
     a, b = seeds[0], seeds[-1]
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        return np.exp(_eval_log(log_f, x) - m_log)
+    def panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        x, h = _panel_nodes(lo, hi)
+        return _panels(np.exp(_eval_log(log_f, x.ravel()) - m_log).reshape(x.shape), h)
 
     # core: adaptive GK on [lower, b]. A kink at the true maximum lies inside
     # a panel narrow enough for the GK nodes to straddle it, and the seed
     # panels widen with the distance from the peak, so a feature far from it
     # (a rise next to lower) still meets panels of its own scale
     edges = _core_edges(lower, seeds)
-    iks, errs = _panels(fn, edges[:-1], edges[1:])
+    iks, errs = (v.tolist() for v in panels(edges[:-1], edges[1:]))
     heap = list(zip([-e for e in errs], range(len(errs)), edges[:-1], edges[1:], iks, errs))
     heapq.heapify(heap)
     counter, total, errsum = len(heap), sum(iks), sum(errs)
-    splits, stuck_err = 0, 0.0
+    splits, stuck_err, stalled = 0, 0.0, False
+    window_end, window_err = max(_MIN_STALL_WINDOW, len(heap)), errsum
     while errsum - stuck_err > 0.0 and errsum > 0.25 * rtol * max(abs(total), 1e-300) and heap:
         if splits >= MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"subdivision budget {MAX_SUBDIVISIONS} exhausted; "
                 f"achieved relative error ~{errsum / max(abs(total), 1e-300):.3e}"
             )
+        if splits >= window_end:
+            stalled = errsum > _STALL_FACTOR * window_err
+            if stalled:
+                break
+            window_end, window_err = splits + max(_MIN_STALL_WINDOW, len(heap)), errsum
         neg_err, _, lo_e, hi_e, ik, err = heapq.heappop(heap)
         mid = 0.5 * (lo_e + hi_e)
         if err <= 0.0 or mid <= lo_e or mid >= hi_e:
             # unrefinable at float resolution; its error stays counted
             stuck_err += err
             continue
-        (ik1, ik2), (err1, err2) = _panels(fn, [lo_e, mid], [mid, hi_e])
+        (ik1, ik2), (err1, err2) = (v.tolist() for v in panels([lo_e, mid], [mid, hi_e]))
         total += ik1 + ik2 - ik
         errsum += err1 + err2 - err
         heapq.heappush(heap, (-err1, counter, lo_e, mid, ik1, err1))
@@ -526,30 +560,14 @@ def integrate_decaying(
         counter += 2
         splits += 1
 
-    # right tail: doubling panels until provably negligible
-    h = max(b - a, 1e-3 * max(1.0, abs(lower)))
-    t_edge, c_prev, consec = b, math.inf, 0
-    for _ in range(2000):
-        (ik,), (err,) = _panels(fn, [t_edge], [t_edge + h])
-        total += ik
-        errsum += err
-        c = abs(ik)
-        t_edge += h
-        h *= 2.0
-        tol_abs = rtol * max(abs(total), 1e-300) / 64.0
-        if c <= tol_abs and c <= c_prev:
-            consec += 1
-            r = c / c_prev if c_prev > 0 and not math.isinf(c_prev) else 0.0
-            remaining = c * r / (1.0 - r) if r < 1.0 else math.inf
-            if consec >= 2 and remaining <= 0.25 * rtol * max(abs(total), 1e-300):
-                break
-        else:
-            consec = 0
-        c_prev = c
-        if t_edge > 1e290:
-            raise QuadratureError("right tail does not decay; integral may diverge")
-    else:
-        raise QuadratureError("right tail sweep did not converge")
+    sums = np.array([[total], [errsum]])
+    _, failure = _right_tail(
+        lambda rows, lo, hi: tuple(v[None] for v in panels(lo, hi)),
+        np.zeros(1, dtype=int), a, b, lower, sums, rtol,
+    )
+    if failure:
+        raise QuadratureError(failure)
+    total, errsum = sums[:, 0].tolist()
 
     if not (math.isfinite(total) and math.isfinite(errsum)):
         raise QuadratureError(
@@ -558,7 +576,177 @@ def integrate_decaying(
     if total <= 0.0:
         return LogValue.zero()
     if errsum > rtol * abs(total):
+        floor = "; the error sum stalled at the integrand's rounding floor" if stalled else ""
         raise QuadratureError(
-            f"achieved relative error {errsum / abs(total):.3e} exceeds requested {rtol:.3e}"
+            f"achieved relative error {errsum / abs(total):.3e} exceeds requested {rtol:.3e}{floor}"
         )
     return LogValue.from_log(m_log + math.log(total), 1)
+
+
+def _right_tail(columns, rows, a, b, lower, sums, rtol) -> tuple[np.ndarray, str | None]:
+    # the right tail beyond the core [a, b] of the integrands in rows:
+    # doubling panels from b until each is provably negligible. columns(rows,
+    # lo, hi) gives the GK estimates and errors of the panels [lo, hi], one
+    # row per integrand; sums[0] (totals) and sums[1] (error sums) gain the
+    # tail in place. Returns the mask of the integrands finished and, if some
+    # are not, why
+    done = np.zeros(sums.shape[1], dtype=bool)
+    h, t_edge = max(b - a, 1e-3 * max(1.0, abs(lower))), b
+    c_prev, consec = np.full(rows.size, math.inf), np.zeros(rows.size, dtype=int)
+    for _ in range(2000):
+        if not rows.size:
+            return done, None
+        if t_edge > 1e290:
+            return done, "right tail does not decay; integral may diverge"
+        ik, err = columns(rows, [t_edge], [t_edge + h])
+        sums[0, rows] += ik[:, 0]
+        sums[1, rows] += err[:, 0]
+        c = np.abs(ik[:, 0])
+        t_edge += h
+        h *= 2.0
+        scale = rtol * np.maximum(np.abs(sums[0, rows]), 1e-300)
+        small = (c <= scale / 64.0) & (c <= c_prev)
+        consec = np.where(small, consec + 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where((c_prev > 0.0) & np.isfinite(c_prev), c / c_prev, 0.0)
+            remaining = np.where(r < 1.0, c * r / (1.0 - r), math.inf)
+        finished = small & (consec >= 2) & (remaining <= 0.25 * scale)
+        done[rows[finished]] = True
+        rows, c_prev, consec = rows[~finished], c[~finished], consec[~finished]
+    return done, None if not rows.size else "right tail sweep did not converge"
+
+
+def _blocks(n_rows: int, n_cols: int, width: int):
+    # (row slice, column slice) pairs tiling an (n_rows, n_cols, width) array
+    # in blocks of at most _BLOCK_FLOATS entries (one column if a column is
+    # wider than that)
+    cols = max(1, min(n_cols, _BLOCK_FLOATS // width))
+    rows = max(1, _BLOCK_FLOATS // (cols * width))
+    for r0 in range(0, n_rows, rows):
+        for c0 in range(0, n_cols, cols):
+            yield slice(r0, r0 + rows), slice(c0, c0 + cols)
+
+
+def _log_family(base: np.ndarray, rate: np.ndarray, k: np.ndarray, shift=0.0) -> np.ndarray:
+    # B + k D - shift, broadcast, in one new array; nan (from -inf + inf)
+    # becomes -inf
+    v = k * rate
+    v += base
+    v -= shift
+    v[np.isnan(v)] = _NEG_INF
+    return v
+
+
+def _integrate_family(
+    log_terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    ks: np.ndarray,
+    lower: float,
+    spec: QuadratureSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """log of int_lower^inf exp(B(t) + k D(t)) dt for each k of the
+    increasing array ks, on one set of Gauss-Kronrod panels.
+
+    log_terms(t) returns the pair (B(t), D(t)) for a 1-D float array t, and
+    D must increase in t, so that the peak of f_k = exp(B + k D) moves right
+    as k grows: the brackets of the first and the last k (integrate_decaying's
+    scans, cut and right-tail rule) enclose every peak, and f_k has fallen by
+    the cut at both ends of the core. The seed edges are both brackets' graded
+    edges plus geometric edges between the two peaks. B and D are evaluated
+    once per node, and B + k D is formed in blocks of at most _BLOCK_FLOATS
+    floats, each k rescaled by its maximum over the seed nodes.
+
+    Refinement runs in vectorised rounds: each round splits every panel on
+    which some k still refining holds more than its share, 1 / (number of
+    panels), of its core budget 0.25 rtol |total_k|. A k leaves the rounds
+    once within that budget, or once its error sum stalls at its rounding
+    floor (two rounds that do not halve it), keeping the sums of its round
+    with the least error sum. Each k is then certified by integrate_decaying's
+    final test, error sum <= rtol total, on the same error model. Returns the
+    logs and a mask of the k that failed, whose logs are nan. It raises no
+    QuadratureError: where a bracket scan raises one, every k is failed.
+    """
+    rtol = spec.relative_tolerance
+    cut = max(45.0, -math.log(rtol) + 30.0)
+    ks = np.asarray(ks, dtype=float)
+    out = np.full(ks.size, np.nan)
+
+    def log_f(k: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda t: _log_family(*log_terms(t), k)
+
+    try:
+        first = _bracket(log_f(ks[0]), lower, cut)
+        last = _bracket(log_f(ks[-1]), lower, cut) if ks.size > 1 else first
+    except QuadratureError:
+        first = last = (_NEG_INF, ())
+    if first[0] == _NEG_INF or last[0] == _NEG_INF:
+        return out, np.ones(ks.size, dtype=bool)
+    a, b = min(first[1][0], last[1][0]), max(first[1][-1], last[1][-1])
+    edges = set(_core_edges(lower, first[1])) | set(_core_edges(lower, last[1]))
+    # between the peaks, four edges per doubling of the offset
+    near, far = first[1][2] - lower, last[1][2] - lower
+    if far > near > 0.0:
+        steps = 2 + math.ceil(4.0 * math.log2(far / near))
+        edges.update((lower + np.geomspace(near, far, steps)).tolist())
+    edges = np.array(sorted(e for e in edges if e <= b))
+    lo, hi = edges[:-1], edges[1:]
+
+    # each k is rescaled by its maximum over the seed nodes
+    x, _ = _panel_nodes(lo, hi)
+    base, rate = (np.asarray(v, dtype=float) for v in log_terms(x.ravel()))
+    m = np.full(ks.size, _NEG_INF)
+    for kb, xb in _blocks(ks.size, base.size, 1):
+        v = _log_family(base[xb], rate[xb], ks[kb, None])
+        m[kb] = np.fmax(m[kb], np.fmax.reduce(v, axis=1))
+
+    def columns(rows: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        # GK estimates and errors of the panels [lo, hi] for the k of ks[rows]
+        x, h = _panel_nodes(lo, hi)
+        base, rate = (np.asarray(v, dtype=float).reshape(x.shape) for v in log_terms(x.ravel()))
+        ik, err = np.empty((rows.size, h.size)), np.empty((rows.size, h.size))
+        for kb, pb in _blocks(rows.size, h.size, x.shape[1]):
+            r = rows[kb, None, None]
+            v = _log_family(base[pb], rate[pb], ks[r], m[r])
+            ik[kb, pb], err[kb, pb] = _panels(np.exp(v, out=v), h[pb])
+        return ik, err
+
+    # core: rounds of splits on the panels of [lower, b]. Each k keeps the
+    # sums of its round with the least error sum. A k leaves the rounds once
+    # within budget, or once its error sum is not below _STALL_FACTOR of its
+    # value two rounds back: a round splits every panel over its share, so an
+    # error sum that does not fall is made of rounding noise
+    total, errsum = np.zeros(ks.size), np.full(ks.size, math.inf)
+    rows = np.flatnonzero(np.isfinite(m))
+    ik, err = columns(rows, lo, hi)
+    splits, back = 0, np.full((2, rows.size), math.inf)
+    while rows.size:
+        tot, es = ik.sum(axis=1), err.sum(axis=1)
+        better = es < errsum[rows]
+        total[rows[better]], errsum[rows[better]] = tot[better], es[better]
+        budget = 0.25 * rtol * np.maximum(np.abs(tot), 1e-300)
+        keep = (es > budget) & ~(es > _STALL_FACTOR * back[1]) & (splits < MAX_SUBDIVISIONS)
+        rows, ik, err, budget = rows[keep], ik[keep], err[keep], budget[keep]
+        back = np.stack([es[keep], back[0, keep]])
+        mid = 0.5 * (lo + hi)
+        split = (err > (budget / lo.size)[:, None]).any(axis=0) & (lo < mid) & (mid < hi)
+        if not split.any():
+            # unrefinable at float resolution; the final test decides
+            break
+        # a split panel's left half takes its column, its right half is appended
+        left = np.flatnonzero(split)
+        new_ik, new_err = columns(rows, np.concatenate([lo[left], mid[left]]),
+                                  np.concatenate([mid[left], hi[left]]))
+        ik[:, left], err[:, left] = new_ik[:, :left.size], new_err[:, :left.size]
+        ik = np.concatenate([ik, new_ik[:, left.size:]], axis=1)
+        err = np.concatenate([err, new_err[:, left.size:]], axis=1)
+        lo, hi = np.concatenate([lo, mid[left]]), np.concatenate([hi, hi[left]])
+        hi[left] = mid[left]
+        splits += left.size
+
+    sums = np.stack([total, errsum])
+    rows = np.flatnonzero(np.isfinite(sums).all(axis=0))
+    ok, _ = _right_tail(columns, rows, a, b, lower, sums, rtol)
+    total, errsum = sums
+    ok &= np.isfinite(total) & np.isfinite(errsum) & (total > 0.0)
+    ok &= errsum <= rtol * np.abs(total)
+    out[ok] = m[ok] + np.log(total[ok])
+    return out, ~ok

@@ -11,7 +11,11 @@ import math
 
 import pytest
 
+from pktilt import cli
+from pktilt.blocks import blocks_pmf
 from pktilt.cli import main
+from pktilt.sampler import McReport, monte_carlo_blocks
+from pktilt.tempered_stable import GGParams
 
 BASE = ["--alpha", "0.5", "--delta", "1.0", "--gamma", "1.0"]
 
@@ -175,6 +179,66 @@ def test_validate_with_mc(capsys):
     assert code == 0
     assert doc["mc"]["n"] == 8
     assert doc["mc"]["tv_distance"] < 0.05
+
+
+def test_validate_mc_default_gate_tracks_noise_floor(capsys):
+    # an exact sampler at 2000 replicates and n = 200 has a TV noise floor
+    # of about 0.06, far above a fixed 0.01; the default gate sits above it
+    argv = ["validate", *BASE, "--n-max", "1", "--mc", "--mc-n", "200",
+            "--replicates", "2000"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    gate = next(c for c in doc["self_checks"] if c["name"] == "mc_block_count_tv")
+    assert doc["mc"]["tv_noise_floor"] > 0.05
+    assert gate["threshold"] > doc["mc"]["tv_noise_floor"]
+
+
+def test_validate_mc_default_gate_rejects_biased_sampler(capsys, monkeypatch):
+    # a sampler drawing K_n at alpha + 0.02 fails the default gate at the
+    # default mc-n, replicates and seed
+    def biased(n, params, replicates, seed, *, eta=None):
+        wrong = GGParams(params.alpha + 0.02, params.delta, params.gamma)
+        drawn = monte_carlo_blocks(n, wrong, replicates, seed)
+        reference = blocks_pmf(n, params).probabilities
+        tv = 0.5 * math.fsum(abs(e - p) for e, p in zip(drawn.empirical_pmf, reference))
+        return McReport(n, replicates, seed, drawn.empirical_pmf, reference, tv)
+
+    monkeypatch.setattr(cli, "monte_carlo_blocks", biased)
+    code, doc = run_json(capsys, ["validate", *BASE, "--n-max", "1", "--mc"])
+    assert code == 1 and doc["passed"] is False
+    gate = next(c for c in doc["self_checks"] if c["name"] == "mc_block_count_tv")
+    assert gate["passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# typed numerical failures
+
+
+@pytest.mark.parametrize("argv", [
+    ["eppf", "--composition", "3,2,1"],
+    ["blocks", "--n", "300"],
+])
+def test_uncertifiable_tolerance_exits_three(argv, capsys):
+    # rtol 1e-15 is below the quadrature's rounding floor: a typed error in
+    # the envelope, not a traceback
+    base = ["--alpha", "0.3", "--delta", "1", "--gamma", "1e-3", "--tolerance", "1e-15"]
+    code = main(argv[:1] + base + argv[1:])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 3
+    assert doc["passed"] is False
+    assert doc["error"]["type"] == "QuadratureError"
+    assert "rounding floor" in doc["error"]["message"]
+    assert "QuadratureError" in captured.err
+
+
+def test_uncertifiable_tolerance_csv_exits_three(capsys):
+    argv = ["eppf", "--alpha", "0.3", "--delta", "1", "--gamma", "1e-3",
+            "--tolerance", "1e-15", "--composition", "2,1", "--format", "csv"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "QuadratureError" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ is an independent route against generic quadrature.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from pktilt.eppf import (
 from pktilt.blocks import blocks_pmf
 from pktilt.oracle import exact_blocks_pmf
 from pktilt.sampler import empirical_diversity, monte_carlo_blocks, sample_partition
-from pktilt.specfun import QuadratureSpec
+from pktilt.specfun import CancellationError, QuadratureError, QuadratureSpec
 from pktilt.tempered_stable import GGParams
 
 PARAM_GRID = [
@@ -38,6 +39,8 @@ PARAM_GRID = [
 ]
 
 TIGHT = QuadratureSpec(relative_tolerance=1e-12)
+
+EPS = 2.220446049250313e-16
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +103,7 @@ def test_eta_gamma_zero_runs_no_quadrature(monkeypatch):
         raise AssertionError("quadrature at gamma = 0")
 
     monkeypatch.setattr(eppf, "integrate_decaying", refuse)
+    monkeypatch.setattr(eppf, "_integrate_family", refuse)
     p = GGParams(0.4, 2.0, 0.0)
     memo = EtaMemo(p)
     memo.ensure_rows(300)
@@ -434,3 +438,89 @@ def test_eta_memo_off_table_cells_cached():
     v = memo.log_eta(7, 2)  # beyond the table: integrated and cached
     assert v == pytest.approx(log_eta(7, 2, p).log_magnitude, abs=1e-10)
     assert memo.log_eta(7, 2) == v
+
+
+# ---------------------------------------------------------------------------
+# the top row on one panel set
+
+ROW_SPEC = QuadratureSpec(relative_tolerance=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98])
+def test_eta_row_matches_cells(alpha):
+    # each k of a row integrated on the shared panels agrees with its own
+    # quadrature to the tolerance plus a few roundings of log eta; where a
+    # cell cannot be certified, neither can the row
+    for delta in (1e-6, 1.0, 1e6):
+        for gamma in (1e-12, 1.0, 50.0):
+            p = GGParams(alpha, delta, gamma)
+            for n in (1, 2, 7, 40, 300):
+                ks = range(1, n + 1) if n <= 7 else sorted({1, 2, 3, n // 3, n // 2, n - 1, n})
+                try:
+                    refs = {k: eppf._log_eta_cell(n, k, p, ROW_SPEC) for k in ks}
+                except (QuadratureError, CancellationError):
+                    with pytest.raises((QuadratureError, CancellationError)):
+                        eppf._log_eta_row(n, p, ROW_SPEC)
+                    continue
+                row = eppf._log_eta_row(n, p, ROW_SPEC)
+                for k, ref in refs.items():
+                    gap = abs(row[k - 1] - ref)
+                    assert gap <= ROW_SPEC.relative_tolerance + 8 * EPS * abs(ref), (
+                        alpha, delta, gamma, n, k, gap,
+                    )
+
+
+def test_eta_row_falls_back_to_cells(monkeypatch):
+    # a k the shared panels do not certify is integrated on its own
+    forced = [1, 5, 17, 40]
+    family = eppf._integrate_family
+
+    def failing(log_terms, ks, lower, spec):
+        out, failed = family(log_terms, ks, lower, spec)
+        out[np.subtract(forced, 1)] = np.nan
+        failed[np.subtract(forced, 1)] = True
+        return out, failed
+
+    cells = []
+    integrate = eppf.integrate_decaying
+
+    def counted(log_f, lower, spec=None):
+        cells.append(lower)
+        return integrate(log_f, lower, spec)
+
+    monkeypatch.setattr(eppf, "_integrate_family", failing)
+    monkeypatch.setattr(eppf, "integrate_decaying", counted)
+    p = GGParams(0.6, 1.3, 0.8)
+    memo = EtaMemo(p)
+    memo.ensure_rows(40)
+    assert len(cells) == len(forced) and memo.quadrature_cells == 40
+    for k in range(1, 41):
+        cell = eppf._log_eta_cell(40, k, p, memo.spec)
+        if k in forced:
+            assert memo.log_eta(40, k) == cell
+        else:
+            assert memo.log_eta(40, k) == pytest.approx(cell, abs=1e-10), k
+
+
+def test_eta_row_runs_no_cell_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-cell quadrature in the top row")
+
+    monkeypatch.setattr(eppf, "integrate_decaying", refuse)
+    memo = EtaMemo(GGParams(0.5, 1.0, 1.0))
+    memo.ensure_rows(300)
+    assert memo.quadrature_cells == 300
+
+
+def test_eta_row_working_set_is_capped():
+    # B + k D is formed in blocks of at most 2^14 floats. The table of rows
+    # 1..600 takes 1.5 MB; B + k D for all k at every seed node at once
+    # would take about 18 MB more
+    memo = EtaMemo(GGParams(0.5, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        memo.ensure_rows(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak

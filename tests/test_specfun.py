@@ -349,6 +349,69 @@ def test_integrate_budget_exhaustion_raises(monkeypatch):
         integrate_decaying(log_f, 0.0, spec)
 
 
+def _counted(log_f):
+    calls = []
+
+    def f(t):
+        calls.append(np.size(t))
+        return log_f(t)
+
+    return f, calls
+
+
+def test_integrate_below_rounding_floor_fails_fast():
+    # every panel's error model is at least 10 eps times its mass, so
+    # rtol 1e-15 cannot be certified. The error sum stops falling within the
+    # first stall window, far short of the 2^15-split budget
+    log_f, calls = _counted(lambda t: -t)
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        integrate_decaying(log_f, 0.0, QuadratureSpec(1e-15))
+    assert len(calls) <= 500, len(calls)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_stall_exit_leaves_results_unchanged(rtol, monkeypatch):
+    # at rtol >= 1e-12 a certified integral never meets the stall test, so
+    # disabling it changes no bit of the result
+    cases = [
+        lambda t: -0.5 * t * t,
+        lambda t: -np.abs(t - 3.0),
+        lambda t: -t + np.log(-np.expm1(-t / 1e-4)),
+        lambda t: np.where(t > 0.0, -0.5 * np.log(np.maximum(t, 1e-300)) - t, -np.inf),
+    ]
+    spec = QuadratureSpec(rtol)
+    with np.errstate(divide="ignore"):
+        got = [integrate_decaying(f, 0.0, spec) for f in cases]
+        monkeypatch.setattr(specfun, "_MIN_STALL_WINDOW", 2 ** 40)
+        ref = [integrate_decaying(f, 0.0, spec) for f in cases]
+    assert got == ref
+
+
+def test_family_matches_gamma_function():
+    # int_0^inf t^k e^(-t) dt = k!, with B = -t and D = log t increasing
+    def terms(t):
+        with np.errstate(divide="ignore"):
+            return -t, np.log(t)
+
+    ks = np.arange(1, 61)
+    out, failed = specfun._integrate_family(terms, ks, 0.0, QuadratureSpec(1e-12))
+    assert not failed.any()
+    ref = np.array([math.lgamma(k + 1.0) for k in ks])
+    assert np.all(np.abs(out - ref) <= 1e-12 + 8 * EPS * np.abs(ref)), np.abs(out - ref).max()
+
+
+def test_family_below_rounding_floor_fails_fast():
+    # as for one integral: every k is marked failed, in a few rounds
+    def terms(t):
+        with np.errstate(divide="ignore"):
+            return -t, np.log(t)
+
+    terms, calls = _counted(terms)
+    out, failed = specfun._integrate_family(terms, np.arange(1, 31), 0.0, QuadratureSpec(1e-15))
+    assert failed.all() and np.isnan(out).all()
+    assert len(calls) <= 50, len(calls)
+
+
 def _log_t(t):
     with np.errstate(divide="ignore"):
         return np.log(t)
