@@ -43,7 +43,6 @@ from .eppf import (
     predictive,
 )
 from .blocks import (
-    StirlingTable,
     stirling_table,
     BlockCountPmf,
     blocks_pmf,
@@ -73,7 +72,7 @@ __all__ = [
     "levy_density", "sample_stable", "sample_tempered",
     "Composition", "PredictiveDistribution", "EtaMemo", "log_eta", "log_vnk",
     "log_eppf", "predictive",
-    "StirlingTable", "stirling_table", "BlockCountPmf", "blocks_pmf",
+    "stirling_table", "BlockCountPmf", "blocks_pmf",
     "diversity_density",
     "PartitionSample", "McReport", "sample_partition", "monte_carlo_blocks",
     "empirical_diversity",

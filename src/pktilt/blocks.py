@@ -10,8 +10,10 @@ where S_alpha are generalized Stirling numbers,
     S_alpha(1, 1) = 1,
 
 all positive for alpha in (0, 1), so the recurrence runs cleanly in log
-scale. The explicit alternating sum and the alpha = 1/2 product form of
-S_alpha are audit routes, kept in pktilt.oracle.
+scale. blocks_pmf needs row n of S_alpha and row n of eta only, and builds
+neither triangle, so its memory is O(n). The explicit alternating sum and
+the alpha = 1/2 product form of S_alpha are audit routes, kept in
+pktilt.oracle.
 
 K_n / n^alpha converges a.s. to the alpha diversity S = delta 2^alpha T^(-alpha),
 where T is the tilted total mass (the constant delta 2^alpha is the scale of
@@ -31,62 +33,40 @@ pktilt.oracle.diversity_density_half.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import LogValue
 from .tempered_stable import _SQRT_2PI, GGParams, stable_density_series
 from .eppf import _LN2, EtaMemo, _log_vnk_prefactor, _memo_for
 
 __all__ = [
-    "StirlingTable",
     "stirling_table",
     "BlockCountPmf",
     "blocks_pmf",
     "diversity_density",
 ]
 
-@dataclass(frozen=True, eq=False)
-class StirlingTable:
-    """Triangle of log S_alpha(n, k) for 1 <= k <= n <= n_max."""
 
-    alpha: float
-    n_max: int
-    _rows: tuple[np.ndarray, ...] = field(repr=False)
-
-    def log_value(self, n: int, k: int) -> float:
-        if not (1 <= k <= n <= self.n_max):
-            raise ValueError(f"need 1 <= k <= n <= {self.n_max}, got n={n}, k={k}")
-        return float(self._rows[n][k])
-
-    def value(self, n: int, k: int) -> LogValue:
-        return LogValue.from_log(self.log_value(n, k))
-
-
-def stirling_table(alpha: float, n_max: int) -> StirlingTable:
-    """Build the log-scale Stirling triangle by the forward recurrence."""
+def stirling_table(alpha: float, n: int) -> np.ndarray:
+    """Row n of the log-scale Stirling triangle: log S_alpha(n, k) at index k,
+    -inf at k = 0 and k = n + 1. The forward recurrence keeps one row at a
+    time, so the row takes O(n) memory."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    rows: list[np.ndarray] = [np.array([-np.inf])]  # row 0 placeholder
-    row1 = np.full(3, -np.inf)
-    row1[1] = 0.0
-    rows.append(row1)
-    for n in range(1, n_max):
-        prev = rows[n]
-        k_arr = np.arange(1, n + 2, dtype=float)
-        shift = prev[0:n + 1]          # S(n, k-1) for k = 1..n+1
-        stay = prev[1:n + 2]           # S(n, k), -inf at k = n+1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stay_term = np.where(
-                np.isneginf(stay), -np.inf, np.log(np.maximum(n - alpha * k_arr, 0.0)) + stay
-            )
-        row = np.full(n + 3, -np.inf)
-        row[1:n + 2] = np.logaddexp(shift, stay_term)
-        rows.append(row)
-    return StirlingTable(alpha=alpha, n_max=n_max, _rows=tuple(rows))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    row = np.full(n + 2, -np.inf)
+    row[1] = 0.0
+    alpha_k = alpha * np.arange(1, n, dtype=float)
+    for m in range(1, n):
+        # S(m+1, k) = S(m, k-1) + (m - k alpha) S(m, k) for k = 1..m, and
+        # S(m+1, m+1) = S(m, m)
+        stay = np.log(m - alpha_k[:m])
+        stay += row[1:m + 1]
+        row[m + 1] = row[m]
+        row[1:m + 1] = np.logaddexp(row[0:m], stay, out=stay)
+    return row
 
 
 @dataclass(frozen=True)
@@ -109,22 +89,21 @@ class BlockCountPmf:
 
 
 def blocks_pmf(n: int, params: GGParams, *, eta: EtaMemo | None = None) -> BlockCountPmf:
-    """Exact pmf of K_n via V_{n,k} and the Stirling recurrence.
+    """Exact pmf of K_n as V_{n,k} S_alpha(n, k), from row n of eta and row n
+    of the Stirling triangle only, in O(n) memory.
 
-    eta, a memo for the same params, serves the eta table; by default a
-    fresh memo at the default quadrature tolerance. The probabilities are not
-    renormalized; summing to one is a nontrivial identity and is left
-    visible to tests.
+    eta, a memo for the same params, serves row n of eta (EtaMemo.log_row);
+    by default a fresh memo at the default quadrature tolerance. The
+    probabilities are not renormalized; summing to one is a nontrivial
+    identity and is left visible to tests.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     eta = _memo_for(params, eta)
-    eta.ensure_rows(n)
-    stirling = stirling_table(params.alpha, n)
     log_p = (
         _log_vnk_prefactor(n, np.arange(1, n + 1), params)
         + eta.log_row(n)[1:n + 1]
-        + stirling._rows[n][1:n + 1]
+        + stirling_table(params.alpha, n)[1:n + 1]
     )
     return BlockCountPmf(n=n, probabilities=tuple(np.exp(log_p).tolist()))
 

@@ -290,18 +290,21 @@ def cmd_blocks(args, params: GGParams, spec: QuadratureSpec):
 def cmd_diversity(args, params: GGParams, spec: QuadratureSpec):
     s_values = _parse_s_values(args)
     densities: list[float | None] = []
-    notes: list[str] = []
+    log_densities: list[float | None] = []
     for s in s_values:
         try:
-            densities.append(diversity_density(params, s))
-            notes.append("")
+            d = diversity_density(params, s)
+            # a density outside the float range keeps its log
+            ld = math.log(d) if 0.0 < d < math.inf else _log_diversity_density(params, s)
         except CancellationError:
-            densities.append(None)
-            notes.append("outside reliable region")
+            d = ld = None
+        densities.append(d)
+        log_densities.append(None if ld == -math.inf else ld)
+    notes = ["" if d is not None else "outside reliable region" for d in densities]
     payload = {
         "s": s_values,
         "density": densities,
-        "log_density": [math.log(d) if d else None for d in densities],
+        "log_density": log_densities,
         "notes": notes,
     }
     if params.alpha == 0.5:

@@ -25,9 +25,9 @@ delta gamma = 1e-14.
 
 In x, every eta(n, k) of a row n has the log-integrand B(x) + k D(x), with
 D increasing (_eta_log_terms). One cell is one integrate_decaying call
-(_log_eta_cell, the route of log_eta and of cells off the memo's table). A
+(_log_eta_cell, the route of log_eta and of cells off the memo's rows). A
 whole row is one pass of specfun._integrate_family over a shared set of
-Gauss-Kronrod panels (_log_eta_row, the route of EtaMemo.ensure_rows):
+Gauss-Kronrod panels (_log_eta_row, the route of EtaMemo.log_row):
 each k is certified by integrate_decaying's error model and final test,
 and a k that fails it is integrated as a cell instead.
 At alpha = 1/2, gamma > 0 there is also a finite sum of upper incomplete
@@ -45,9 +45,11 @@ derivative of lam^n e^(-delta w^alpha) w^(k alpha - n) over (0, inf)):
 
     n eta(n, k) = 2 delta alpha eta(n+1, k+1) + 2 (n - k alpha) eta(n+1, k)
 
-whose coefficients are positive for k <= n. EtaMemo exploits it: one top
-row (closed form or one row quadrature) seeds the whole triangle, which is
-both faster and more accurate than quadrature per cell.
+whose coefficients are positive for k <= n. EtaMemo.ensure_rows exploits
+it: one top row (closed form or one row quadrature) seeds the whole
+triangle, which is both faster and more accurate than quadrature per cell.
+A consumer that needs one row only, such as blocks_pmf, reads it from
+EtaMemo.log_row and builds no triangle.
 """
 
 from __future__ import annotations
@@ -320,15 +322,17 @@ def _memo_for(params: GGParams, eta: EtaMemo | None) -> EtaMemo:
 class EtaMemo:
     """Memoized log eta(n, k) values for one parameter set.
 
-    ensure_rows(n_top) computes the top row by _log_eta_row: the closed form
-    when delta gamma < 1e-290, gamma = 0 included, else one quadrature pass
-    over the row's shared panels, which certifies each k at spec's tolerance
-    with the same error model as a cell and integrates any k it cannot
-    certify as its own cell. It fills every row below through the exact
-    downward recurrence. Cells outside the table are computed on demand as
-    log_eta does and cached. quadrature_cells counts the eta values
-    integrated, n_top for a top row at delta gamma >= 1e-290. spec, the
-    quadrature settings, reaches every eta consumer only through its memo.
+    The memo keeps rows of eta in one dict. log_row(n) serves row n from it,
+    or computes the row by _log_eta_row and keeps it: the closed form when
+    delta gamma < 1e-290, gamma = 0 included, else one quadrature pass over
+    the row's shared panels, which certifies each k at spec's tolerance with
+    the same error model as a cell and integrates any k it cannot certify as
+    its own cell. ensure_rows(n_top) takes row n_top from log_row and fills
+    every row below it through the exact downward recurrence. log_eta reads
+    any kept row; other cells are computed as log_eta does and cached.
+    quadrature_cells counts the eta values integrated, n for each row n
+    integrated at delta gamma >= 1e-290. spec, the quadrature settings,
+    reaches every eta consumer only through its memo.
     """
 
     def __init__(self, params: GGParams, spec: QuadratureSpec | None = None):
@@ -347,25 +351,20 @@ class EtaMemo:
         if self._top >= n_top:
             return
         alpha, delta = self.params.alpha, self.params.delta
-        top = np.full(n_top + 2, -np.inf)
-        top[1:n_top + 1] = _log_eta_row(n_top, self.params, self.spec)
-        self.quadrature_cells += n_top * self._by_quadrature
-        rows = {n_top: top}
+        row = self.log_row(n_top)
         log_2ad = math.log(2.0 * alpha * delta)
         for n in range(n_top - 1, 0, -1):
-            nxt = rows[n + 1]
             k_arr = np.arange(1, n + 1, dtype=float)
-            new_part = log_2ad + nxt[2:n + 2]
-            old_part = _LN2 + np.log(n - alpha * k_arr) + nxt[1:n + 1]
+            new_part = log_2ad + row[2:n + 2]
+            old_part = _LN2 + np.log(n - alpha * k_arr) + row[1:n + 1]
             row = np.full(n + 2, -np.inf)
             row[1:n + 1] = np.logaddexp(new_part, old_part) - math.log(n)
-            rows[n] = row
-        self._rows = rows
+            self._rows[n] = row
         self._top = n_top
 
     def log_eta(self, n: int, k: int) -> float:
         _validate_nk(n, k)
-        if n <= self._top:
+        if n in self._rows:
             return float(self._rows[n][k])
         key = (n, k)
         if key not in self._cells:
@@ -374,9 +373,13 @@ class EtaMemo:
         return self._cells[key]
 
     def log_row(self, n: int) -> np.ndarray:
-        """Direct row access (index k, valid 1..n); table rows only."""
-        if n > self._top:
-            raise KeyError(f"row {n} not in table (top is {self._top})")
+        """Row n of log eta, indexed by k (valid 1..n, -inf at 0 and n + 1):
+        a kept row, or one computed by _log_eta_row and kept."""
+        if n not in self._rows:
+            row = np.full(n + 2, -np.inf)
+            row[1:n + 1] = _log_eta_row(n, self.params, self.spec)
+            self.quadrature_cells += n * self._by_quadrature
+            self._rows[n] = row
         return self._rows[n]
 
 

@@ -18,8 +18,8 @@ instead of after the whole subdivision budget.
 _integrate_family integrates a family exp(B + k D) with D increasing, one
 integral per k, on one shared panel set refined in vectorised rounds, and
 certifies each k with the same error model and final test; it reports the
-k it cannot certify instead of raising. EtaMemo builds each top row of eta
-with it.
+k it cannot certify instead of raising. EtaMemo.log_row computes each row
+of eta with it.
 """
 
 from __future__ import annotations
@@ -652,15 +652,17 @@ def _integrate_family(
     scans, cut and right-tail rule) enclose every peak, and f_k has fallen by
     the cut at both ends of the core. The seed edges are both brackets' graded
     edges plus geometric edges between the two peaks. B and D are evaluated
-    once per node, and B + k D is formed in blocks of at most _BLOCK_FLOATS
-    floats, each k rescaled by its maximum over the seed nodes.
+    once per node, the seed nodes included, and B + k D is formed in blocks
+    of at most _BLOCK_FLOATS floats, each k rescaled by its maximum over the
+    seed nodes.
 
     Refinement runs in vectorised rounds: each round splits every panel on
     which some k still refining holds more than its share, 1 / (number of
     panels), of its core budget 0.25 rtol |total_k|. A k leaves the rounds
     once within that budget, or once its error sum stalls at its rounding
-    floor (two rounds that do not halve it), keeping the sums of its round
-    with the least error sum. Each k is then certified by integrate_decaying's
+    floor (a window of max(64, panels) splits that does not halve it, the
+    rule of integrate_decaying), keeping the sums of its round with the
+    least error sum. Each k is then certified by integrate_decaying's
     final test, error sum <= rtol total, on the same error model. Returns the
     logs and a mask of the k that failed, whose logs are nan. It raises no
     QuadratureError: where a bracket scan raises one, every k is failed.
@@ -698,10 +700,12 @@ def _integrate_family(
         v = _log_family(base[xb], rate[xb], ks[kb, None])
         m[kb] = np.fmax(m[kb], np.fmax.reduce(v, axis=1))
 
-    def columns(rows: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        # GK estimates and errors of the panels [lo, hi] for the k of ks[rows]
+    def columns(rows: np.ndarray, lo, hi, terms=None) -> tuple[np.ndarray, np.ndarray]:
+        # GK estimates and errors of the panels [lo, hi] for the k of ks[rows];
+        # terms, if given, holds B and D at their nodes
         x, h = _panel_nodes(lo, hi)
-        base, rate = (np.asarray(v, dtype=float).reshape(x.shape) for v in log_terms(x.ravel()))
+        base, rate = (np.asarray(v, dtype=float).reshape(x.shape)
+                      for v in (log_terms(x.ravel()) if terms is None else terms))
         ik, err = np.empty((rows.size, h.size)), np.empty((rows.size, h.size))
         for kb, pb in _blocks(rows.size, h.size, x.shape[1]):
             r = rows[kb, None, None]
@@ -711,21 +715,23 @@ def _integrate_family(
 
     # core: rounds of splits on the panels of [lower, b]. Each k keeps the
     # sums of its round with the least error sum. A k leaves the rounds once
-    # within budget, or once its error sum is not below _STALL_FACTOR of its
-    # value two rounds back: a round splits every panel over its share, so an
-    # error sum that does not fall is made of rounding noise
+    # within budget, or, as in integrate_decaying, once a window of
+    # max(_MIN_STALL_WINDOW, panels) splits has not cut its error sum to
+    # _STALL_FACTOR of what it was (window: its end and that error sum)
     total, errsum = np.zeros(ks.size), np.full(ks.size, math.inf)
     rows = np.flatnonzero(np.isfinite(m))
-    ik, err = columns(rows, lo, hi)
-    splits, back = 0, np.full((2, rows.size), math.inf)
+    ik, err = columns(rows, lo, hi, (base, rate))
+    splits, window = 0, np.array([np.zeros(rows.size), np.full(rows.size, math.inf)])
     while rows.size:
         tot, es = ik.sum(axis=1), err.sum(axis=1)
         better = es < errsum[rows]
         total[rows[better]], errsum[rows[better]] = tot[better], es[better]
         budget = 0.25 * rtol * np.maximum(np.abs(tot), 1e-300)
-        keep = (es > budget) & ~(es > _STALL_FACTOR * back[1]) & (splits < MAX_SUBDIVISIONS)
-        rows, ik, err, budget = rows[keep], ik[keep], err[keep], budget[keep]
-        back = np.stack([es[keep], back[0, keep]])
+        due = splits >= window[0]
+        stalled = due & (es > _STALL_FACTOR * window[1])
+        window[0, due], window[1, due] = splits + max(_MIN_STALL_WINDOW, lo.size), es[due]
+        keep = (es > budget) & ~stalled & (splits < MAX_SUBDIVISIONS)
+        rows, ik, err, budget, window = rows[keep], ik[keep], err[keep], budget[keep], window[:, keep]
         mid = 0.5 * (lo + hi)
         split = (err > (budget / lo.size)[:, None]).any(axis=0) & (lo < mid) & (mid < hi)
         if not split.any():

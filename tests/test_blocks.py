@@ -10,6 +10,7 @@ at gamma = 0.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,25 +33,31 @@ ALPHAS = (0.25, 0.5, 0.75)
 # Stirling numbers
 
 
+def stirling_rows(alpha, n_max):
+    """S_alpha(n, k) as rows[n][k], 0.0 at k = 0 and k = n + 1."""
+    return {n: np.exp(stirling_table(alpha, n)) for n in range(1, n_max + 1)}
+
+
 def test_stirling_table_edge_columns():
     for alpha in ALPHAS:
-        tab = stirling_table(alpha, 9)
         for n in range(1, 10):
-            assert tab.log_value(n, n) == pytest.approx(0.0, abs=1e-13)
+            row = stirling_table(alpha, n)
+            assert row.shape == (n + 2,)
+            assert row[0] == row[n + 1] == -math.inf
+            assert row[n] == pytest.approx(0.0, abs=1e-13)
         # S(n, 1) = (1 - alpha)_(n-1)
         for n in range(2, 10):
             ref = math.fsum(math.log(1.0 - alpha + i) for i in range(n - 1))
-            assert tab.log_value(n, 1) == pytest.approx(ref, rel=1e-13)
+            assert stirling_table(alpha, n)[1] == pytest.approx(ref, rel=1e-13)
 
 
 def test_stirling_table_recurrence_identity():
     alpha = 0.6
-    tab = stirling_table(alpha, 10)
+    rows = stirling_rows(alpha, 10)
     for n in range(1, 10):
         for k in range(1, n + 2):
-            lhs = tab.value(n + 1, k).value
-            stay = tab.value(n, k).value if k <= n else 0.0
-            shift = tab.value(n, k - 1).value if k >= 2 else 0.0
+            lhs = rows[n + 1][k]
+            stay, shift = rows[n][k], rows[n][k - 1]
             assert lhs == pytest.approx(shift + (n - k * alpha) * stay, rel=1e-12)
 
 
@@ -59,11 +66,6 @@ def test_stirling_table_validation():
         stirling_table(0.0, 5)
     with pytest.raises(ValueError):
         stirling_table(0.5, 0)
-    tab = stirling_table(0.5, 5)
-    with pytest.raises(ValueError):
-        tab.log_value(6, 1)
-    with pytest.raises(ValueError):
-        tab.log_value(3, 4)
 
 
 def test_stirling_explicit_small_exact_values():
@@ -80,20 +82,20 @@ def test_stirling_explicit_small_exact_values():
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_stirling_explicit_matches_recurrence(alpha):
-    tab = stirling_table(alpha, 12)
+    rows = stirling_rows(alpha, 12)
     for n in range(1, 13):
         for k in range(1, n + 1):
             assert stirling_explicit(alpha, n, k) == pytest.approx(
-                tab.value(n, k).value, rel=1e-12
+                rows[n][k], rel=1e-12
             ), (n, k)
 
 
 def test_half_closed_product_matches_both_routes():
-    tab = stirling_table(0.5, 12)
+    rows = stirling_rows(0.5, 12)
     for n in range(1, 13):
         for k in range(1, n + 1):
             c = bell_polynomial_half(n, k)
-            assert tab.value(n, k).value == pytest.approx(c, rel=1e-12), (n, k)
+            assert rows[n][k] == pytest.approx(c, rel=1e-12), (n, k)
             assert stirling_explicit(0.5, n, k) == pytest.approx(c, rel=1e-12), (n, k)
 
 
@@ -126,6 +128,20 @@ def test_blocks_pmf_sums_to_one_unnormalized():
         assert pmf.total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_blocks_pmf_reads_one_row_at_large_n():
+    # rows n of eta and of S_alpha only: the two triangles at n = 10000
+    # would take about 800 MB
+    params = GGParams(0.4, 2.0, 0.0)
+    tracemalloc.start()
+    try:
+        pmf = blocks_pmf(10000, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(pmf.total - 1.0) <= 1e-8
+    assert peak < 8e6, peak
+
+
 def test_blocks_pmf_reuses_supplied_tables():
     params = GGParams(0.5, 1.0, 1.0)
     eta = EtaMemo(params)
@@ -149,10 +165,10 @@ def test_blocks_pmf_is_v_times_stirling():
     # the array expression over row n against V_{n,k} S_alpha(n, k) per cell
     for params in [GGParams(0.3, 0.7, 1.5), GGParams(0.75, 2.0, 0.0)]:
         eta = EtaMemo(params)
-        tab = stirling_table(params.alpha, 40)
+        row = stirling_table(params.alpha, 40)
         pmf = blocks_pmf(40, params, eta=eta)
         for k, p in enumerate(pmf.probabilities, start=1):
-            ref = math.exp(log_vnk(40, k, params, eta=eta).log_magnitude + tab.log_value(40, k))
+            ref = math.exp(log_vnk(40, k, params, eta=eta).log_magnitude + row[k])
             assert p == pytest.approx(ref, rel=1e-15, abs=0.0), (params, k)
 
 

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from pktilt import cli
-from pktilt.blocks import blocks_pmf
+from pktilt.blocks import _log_diversity_density, blocks_pmf
 from pktilt.cli import main
 from pktilt.sampler import McReport, monte_carlo_blocks
 from pktilt.tempered_stable import GGParams
@@ -112,15 +112,32 @@ def test_diversity_half_has_integral_check(capsys):
 
 
 def test_diversity_underflowed_density(capsys):
-    # at s = 0.1 the tilt factor underflows the density to 0.0
+    # at s = 0.1 the tilt factor underflows the density to 0.0; its log is
+    # still reported
     argv = ["diversity", "--alpha", "0.25", "--delta", "1", "--gamma", "1",
             "--s-grid", "0.1:6:60"]
+    log_d = _log_diversity_density(GGParams(0.25, 1.0, 1.0), 0.1)
+    assert -1e4 < log_d < -745.0
     code, doc = run_json(capsys, argv)
     assert code == 0
-    assert doc["density"][0] == 0.0 and doc["log_density"][0] is None
+    assert doc["density"][0] == 0.0 and doc["log_density"][0] == log_d
     code, text = run_csv(capsys, argv)
     assert code == 0
-    assert text.splitlines()[1] == "0.1,0.0,"
+    assert text.splitlines()[1] == f"0.1,0.0,{log_d!r}"
+
+
+def test_diversity_log_density_beyond_float_range(capsys):
+    # at delta gamma = 1e6 the density at s = 1 is e^(-999999000000.82)
+    argv = ["diversity", "--alpha", "0.5", "--delta", "1e6", "--gamma", "1", "--s", "1"]
+    log_d = _log_diversity_density(GGParams(0.5, 1e6, 1.0), 1.0)
+    assert log_d == pytest.approx(-999999000000.82, abs=0.01)
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["density"] == [0.0] and doc["log_density"] == [log_d]
+    assert doc["notes"] == [""]
+    code, text = run_csv(capsys, argv)
+    assert code == 0
+    assert text.splitlines()[1] == f"1.0,0.0,{log_d!r}"
 
 
 def test_diversity_large_tilt(capsys):

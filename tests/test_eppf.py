@@ -413,8 +413,18 @@ def test_eta_memo_log_row_bounds():
     memo.ensure_rows(5)
     row = memo.log_row(3)
     assert row[1] == memo.log_eta(3, 1)
-    with pytest.raises(KeyError):
-        memo.log_row(6)
+    # a row off the table is one row quadrature, kept: a later ensure_rows
+    # seeds from it and integrates nothing more
+    cells = memo.quadrature_cells
+    row = memo.log_row(9)
+    assert np.array_equal(row[1:10], eppf._log_eta_row(9, p, memo.spec))
+    assert row[0] == row[10] == -np.inf
+    assert memo.quadrature_cells == cells + 9
+    assert memo.log_eta(9, 4) == row[4]
+    assert memo.log_row(9) is row
+    memo.ensure_rows(9)
+    assert memo.quadrature_cells == cells + 9
+    assert memo.log_row(9) is row
 
 
 def test_eta_memo_extends_monotonically():

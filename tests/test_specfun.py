@@ -400,6 +400,25 @@ def test_family_matches_gamma_function():
     assert np.all(np.abs(out - ref) <= 1e-12 + 8 * EPS * np.abs(ref)), np.abs(out - ref).max()
 
 
+@pytest.mark.parametrize("rtol", [1e-8, 1e-10, 1e-12])
+def test_family_certifies_endpoint_singularity(rtol):
+    # int_0^inf t^(k - 3/4) e^(-t) dt = Gamma(k + 1/4). The k = 0 member's
+    # error sum falls by 2^(-1/4) per halving of the panel at 0, so it does
+    # not halve in two rounds; integrate_decaying's window rule still
+    # certifies it, and so must the family's
+    def terms(t):
+        log_t = np.log(t)
+        return -0.75 * log_t - t, log_t
+
+    ks = np.array([0, 1, 2])
+    out, failed = specfun._integrate_family(terms, ks, 0.0, QuadratureSpec(rtol))
+    assert not failed.any()
+    ref = np.array([math.lgamma(k + 0.25) for k in ks])
+    assert np.all(np.abs(out - ref) <= rtol + 8 * EPS * np.abs(ref)), np.abs(out - ref)
+    single = integrate_decaying(lambda t: terms(t)[0], 0.0, QuadratureSpec(rtol))
+    assert abs(single.log_magnitude - ref[0]) <= rtol
+
+
 def test_family_below_rounding_floor_fails_fast():
     # as for one integral: every k is marked failed, in a few rounds
     def terms(t):
