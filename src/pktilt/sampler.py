@@ -12,15 +12,26 @@ partition prefix, which keeps a replicate's path identical across different
 target n for the same seed stream (used by coupled convergence tests).
 
 monte_carlo_blocks and empirical_diversity need only the block count K_n,
-which is a birth chain on its own: replicate r draws its n uniforms at once
-as _replicate_rng(seed, r).random(n) and opens a new block at step i when
-u[i] < _new_block_prob(eta, i, k). Since random(n)[:m] == random(m), the
-chain is prefix-coupled across n too. It reads a different stream from
-sample_partition, so K_n of replicate r is not the block count of
-sample_partition's replicate r.
+which is a birth chain on its own: replicate r opens a new block at step i
+when its uniform u[i] < _new_block_prob(eta, i, k).
 
-Replicate r of a run uses default_rng(SeedSequence(entropy=seed,
-spawn_key=(r,))), so reports are reproducible from (seed, replicates) alone.
+The two stream rules, side by side:
+
+- sample_partition: one generator per replicate. CLI sample gives
+  replicate r of a run _replicate_rng(seed, r) = default_rng(SeedSequence(
+  entropy=seed, spawn_key=(r,))), read one step at a time.
+- the K_n chain: one generator per chunk of _CHUNK = 256 replicates.
+  Chunk c = r // 256 uses _replicate_rng(seed, c) and draws its uniforms
+  step-major as random((n, 256)); replicate r reads column r % 256. The
+  last chunk is always drawn whole, so replicate r's K_n depends on
+  (seed, r) alone, not on the replicate count. Since
+  random((n, 256))[:m] == random((m, 256)), the chain is prefix-coupled
+  across n. _CHUNK is part of the stream's definition: changing it
+  changes every K_n stream.
+
+The chain reads a different stream from sample_partition, so K_n of
+replicate r is not the block count of sample_partition's replicate r. Both
+rules make reports reproducible from (seed, replicates) alone.
 """
 
 from __future__ import annotations
@@ -42,8 +53,10 @@ __all__ = [
     "empirical_diversity",
 ]
 
-# the K_n chain holds at most this many uniforms: _CHAIN_CELLS // n replicates at once
+# the K_n chain holds at most this many uniforms at once
 _CHAIN_CELLS = 2**22
+# replicates per K_n chain generator; part of the stream's definition
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -128,21 +141,33 @@ def _block_counts(
     seed: int,
     eta: EtaMemo | None,
 ) -> tuple[np.ndarray, EtaMemo]:
-    """K_n of replicates 0, ..., replicates - 1 of seed, and the eta table used."""
+    """K_n of replicates 0, ..., replicates - 1 of seed, and the eta table used.
+
+    A block of whole chunks runs at once, with uniforms u[chunk, step,
+    column]; when one chunk's n x _CHUNK uniforms exceed _CHAIN_CELLS, its
+    steps are drawn in slabs, which successive random calls on its
+    generator join up to exactly random((n, _CHUNK)).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     eta = _memo_for(params, eta)
     eta.ensure_rows(n)
-    k = np.ones(replicates, dtype=np.int64)
-    rows = max(1, _CHAIN_CELLS // n)
-    for lo in range(0, replicates, rows):
-        kb = k[lo:lo + rows]
-        u = np.empty((kb.size, n))
-        for r, row in enumerate(u):
-            _replicate_rng(seed, lo + r).random(out=row)
-        for i in range(1, n):
-            kb += u[:, i] < _new_block_prob(eta, i, kb)
-    return k, eta
+    chunks = -(-replicates // _CHUNK)
+    k = np.ones((chunks, _CHUNK), dtype=np.int64)
+    per_block = max(1, _CHAIN_CELLS // (n * _CHUNK))
+    slab = min(n, max(1, _CHAIN_CELLS // (per_block * _CHUNK)))
+    for lo in range(0, chunks, per_block):
+        kb = k[lo:lo + per_block]
+        gens = [_replicate_rng(seed, c) for c in range(lo, lo + len(kb))]
+        for s0 in range(0, n, slab):
+            u = np.empty((len(kb), min(slab, n - s0), _CHUNK))
+            for g, uc in zip(gens, u):
+                g.random(out=uc)
+            for i in range(max(s0, 1), s0 + u.shape[1]):
+                kb += u[:, i - s0] < _new_block_prob(eta, i, kb)
+    return k.ravel()[:replicates], eta
 
 
 def monte_carlo_blocks(

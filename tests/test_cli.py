@@ -339,6 +339,13 @@ def test_bad_arguments_exit_two(capsys):
         capsys.readouterr()
 
 
+def test_validate_mc_n_below_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", *BASE, "--n-max", "2", "--mc", "--mc-n", "0", "--replicates", "10"])
+    assert exc.value.code == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

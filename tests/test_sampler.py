@@ -5,7 +5,9 @@ The sampler's step probabilities must reproduce the partition law exactly
 deterministic in (seed, r), and per-step randomness consumption must depend
 only on the partition prefix so runs with different target n stay coupled.
 The same holds for the K_n chain behind the Monte Carlo wrappers, which
-must not run the partition sampler at all.
+must not run the partition sampler at all, draws from one generator per
+chunk of 256 replicates, and gives replicate r the same K_n whatever the
+replicate count.
 """
 
 import math
@@ -207,12 +209,46 @@ def test_block_counts_prefix_coupled():
 
 
 def test_block_counts_blocking_does_not_change_results(monkeypatch):
+    # 1000 replicates are 4 chunks of 256
     eta = EtaMemo(PARAMS)
     eta.ensure_rows(20)
     whole = monte_carlo_blocks(20, PARAMS, replicates=1000, seed=3, eta=eta)
-    monkeypatch.setattr(sampler, "_CHAIN_CELLS", 20 * 64 + 5)  # 16 blocks, last one partial
+    monkeypatch.setattr(sampler, "_CHAIN_CELLS", 3 * 20 * 256 + 5)  # blocks of 3 chunks and 1
     blocked = monte_carlo_blocks(20, PARAMS, replicates=1000, seed=3, eta=eta)
     assert blocked.empirical_pmf == whole.empirical_pmf
+    # one chunk at a time, its 20 steps drawn in slabs of 7, 7 and 6
+    monkeypatch.setattr(sampler, "_CHAIN_CELLS", 7 * 256 + 3)
+    slabbed = monte_carlo_blocks(20, PARAMS, replicates=1000, seed=3, eta=eta)
+    assert slabbed.empirical_pmf == whole.empirical_pmf
+
+
+def test_block_counts_independent_of_replicate_count():
+    # the last chunk is drawn whole, so replicate r's K_n depends on (seed, r) alone
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(40)
+    k300, _ = _block_counts(40, PARAMS, 300, 4, eta)
+    k100, _ = _block_counts(40, PARAMS, 100, 4, eta)
+    assert np.array_equal(k300[:100], k100)
+    k257, _ = _block_counts(40, PARAMS, 257, 4, eta)
+    k256, _ = _block_counts(40, PARAMS, 256, 4, eta)
+    assert np.array_equal(k257[:256], k256)
+    assert np.array_equal(k300[:257], k257)
+
+
+@pytest.mark.parametrize("replicates", [1, 256, 257, 1000])
+def test_block_counts_build_one_generator_per_chunk(monkeypatch, replicates):
+    built = []
+
+    def counting(seed, c):
+        built.append(c)
+        return _replicate_rng(seed, c)
+
+    monkeypatch.setattr(sampler, "_replicate_rng", counting)
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(20)
+    k, _ = _block_counts(20, PARAMS, replicates, 6, eta)
+    assert k.shape == (replicates,)
+    assert built == list(range(-(-replicates // 256)))
 
 
 def test_block_count_studies_skip_the_partition_sampler(monkeypatch):
@@ -231,3 +267,7 @@ def test_mc_validation():
         monte_carlo_blocks(5, PARAMS, replicates=0, seed=1)
     with pytest.raises(ValueError):
         empirical_diversity(5, PARAMS, replicates=0, seed=1)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        monte_carlo_blocks(0, PARAMS, replicates=10, seed=1)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        empirical_diversity(0, PARAMS, replicates=10, seed=1)
