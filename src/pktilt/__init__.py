@@ -26,8 +26,6 @@ from .tempered_stable import (
     stable_density,
     stable_density_series,
     stable_density_half,
-    tempered_density,
-    ig_density,
     laplace_exponent,
     levy_density,
     sample_stable,
@@ -68,7 +66,7 @@ __all__ = [
     "DEFAULT_QUADRATURE", "log_rising_factorial", "log_binomial",
     "upper_incomplete_gamma", "integrate_decaying",
     "GGParams", "stable_density", "stable_density_series",
-    "stable_density_half", "tempered_density", "ig_density", "laplace_exponent",
+    "stable_density_half", "laplace_exponent",
     "levy_density", "sample_stable", "sample_tempered",
     "Composition", "PredictiveDistribution", "EtaMemo", "log_eta", "log_vnk",
     "log_eppf", "predictive",

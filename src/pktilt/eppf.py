@@ -24,12 +24,13 @@ so tests check the closed form against the quadrature at
 delta gamma = 1e-14.
 
 In x, every eta(n, k) of a row n has the log-integrand B(x) + k D(x), with
-D increasing (_eta_log_terms). One cell is one integrate_decaying call
-(_log_eta_cell, the route of log_eta and of cells off the memo's rows). A
-whole row is one pass of specfun._integrate_family over a shared set of
-Gauss-Kronrod panels (_log_eta_row, the route of EtaMemo.log_row):
-each k is certified by integrate_decaying's error model and final test,
-and a k that fails it is integrated as a cell instead.
+D increasing (_eta_log_terms). Rows and cells take the one integrator,
+specfun._integrate_family. A whole row is one pass over a shared set of
+Gauss-Kronrod panels (_log_eta_row, the route of EtaMemo.log_row), each k
+certified on its own. One cell is one integrate_decaying call, the
+one-member family B + k D with its own brackets (_log_eta_cell, the route
+of log_eta, of cells off the memo's rows, and of any k a row pass cannot
+certify).
 At alpha = 1/2, gamma > 0 there is also a finite sum of upper incomplete
 gamma functions (substitution t = delta sqrt(gamma^2 + 2 lam) and a
 binomial expansion). The sum alternates and loses digits as n grows, so it
@@ -217,8 +218,8 @@ def _log_eta_row(n: int, params: GGParams, spec: QuadratureSpec) -> np.ndarray:
         lgam = np.array([math.lgamma(k) for k in range(1, n + 1)])
         return lgam - n * _LN2 - ks * math.log(params.delta) - math.log(params.alpha)
     row, failed = _integrate_family(_eta_log_terms(n, params), ks, 0.0, spec)
-    for k in np.flatnonzero(failed) + 1:
-        row[k - 1] = _log_eta_cell(n, int(k), params, spec)
+    for i in sorted(failed):
+        row[i] = _log_eta_cell(n, i + 1, params, spec)
     return row
 
 
@@ -375,6 +376,8 @@ class EtaMemo:
     def log_row(self, n: int) -> np.ndarray:
         """Row n of log eta, indexed by k (valid 1..n, -inf at 0 and n + 1):
         a kept row, or one computed by _log_eta_row and kept."""
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
         if n not in self._rows:
             row = np.full(n + 2, -np.inf)
             row[1:n + 1] = _log_eta_row(n, self.params, self.spec)

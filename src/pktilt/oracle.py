@@ -1,4 +1,5 @@
-"""Oracles: brute-force enumeration and the audit routes of the blocks layer.
+"""Oracles: brute-force enumeration, the audit routes of the blocks layer,
+and the tilted densities that cross-check the tempered stable layer.
 
 Small-n ground truth for everything the fast paths claim. Enumeration is
 capped at n = 10 (Bell(10) = 115975); beyond that the cap errors out.
@@ -24,8 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .specfun import log_binomial
-from .tempered_stable import GGParams
+from .tempered_stable import _SQRT_2PI, GGParams, stable_density
 from .eppf import Composition, EtaMemo, _memo_for, log_eppf
 from .blocks import BlockCountPmf
 
@@ -38,6 +41,8 @@ __all__ = [
     "stirling_explicit",
     "bell_polynomial_half",
     "diversity_density_half",
+    "tempered_density",
+    "ig_density",
 ]
 
 MAX_ENUMERATION_N = 10
@@ -165,3 +170,37 @@ def diversity_density_half(delta: float, s: float) -> float:
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
     return math.exp(delta - delta * delta / (s * s) - 0.25 * s * s) / math.sqrt(math.pi)
+
+
+def tempered_density(params: GGParams, t: float) -> float:
+    """Tilted density exp(delta gamma - (1/2) gamma^(1/alpha) t) f_stable(t)."""
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    tilt = params.delta * params.gamma - params.tilt_rate * t
+    return math.exp(tilt) * stable_density(params.alpha, params.delta, t)
+
+
+def ig_density(delta: float, gamma: float, t):
+    """Inverse Gaussian density, the alpha = 1/2 member of the tilted family:
+
+    (delta / sqrt(2 pi)) e^(delta gamma) t^(-3/2)
+        exp(-(1/2)(delta^2 / t + gamma^2 t))
+
+    t may be a positive scalar or an array of positive values.
+    """
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr > 0.0):
+        raise ValueError(f"t must be positive, got {t!r}")
+    out = (
+        delta / _SQRT_2PI
+        * np.exp(delta * gamma)
+        * t_arr ** -1.5
+        * np.exp(-0.5 * (delta * delta / t_arr + gamma * gamma * t_arr))
+    )
+    if np.isscalar(t) or np.ndim(t) == 0:
+        return float(out)
+    return out

@@ -5,26 +5,27 @@ integrands supplied in log scale.
 Everything downstream (EPPF weights, Gibbs coefficients, block-count laws)
 does its arithmetic through LogValue and exponentiates only at the boundary.
 
-integrate_decaying brackets its integrand from array scans only, zooming in
-on the peak until both neighbours of the best point are within 1 nat of it.
-One Gauss-Kronrod heap, seeded with panels graded out from the peak, then
-integrates from the lower limit to the bracket's end; doubling panels take
-the right tail. It never returns a non-finite value: a peak unresolved at
-float resolution, or a total that is not finite after rescaling, raises
-QuadratureError. An error sum that stops falling has met the integrand's
-rounding floor: refinement stops there, and the final test decides at once
-instead of after the whole subdivision budget.
+There is one adaptive integrator, _integrate_family: it integrates a
+family exp(B + k D) with D nondecreasing, one integral per k, on one shared
+set of Gauss-Kronrod panels. It brackets the first and the last k from
+array scans only, zooming in on each peak until both neighbours of the best
+point are within 1 nat of it, seeds panels graded out from the peaks,
+refines them in vectorised rounds up to the brackets' end, and takes the
+right tail with doubling panels. An error sum that stops falling has met
+the integrand's rounding floor: refinement stops there, and the final test
+decides at once instead of after the whole subdivision budget. Each k is
+certified by the same error model and final test; a k that fails gets the
+reason, not a value. EtaMemo.log_row computes each row of eta with it.
 
-_integrate_family integrates a family exp(B + k D) with D increasing, one
-integral per k, on one shared panel set refined in vectorised rounds, and
-certifies each k with the same error model and final test; it reports the
-k it cannot certify instead of raising. EtaMemo.log_row computes each row
-of eta with it.
+integrate_decaying is the one-member family B = log f, D = 0, k = 0, and
+raises QuadratureError with the reason that member failed: a peak
+unresolved at float resolution, a total that is not finite after
+rescaling, or a tolerance it cannot certify. It never returns a non-finite
+value.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -343,6 +344,7 @@ _MIN_STALL_WINDOW = 64
 _STALL_FACTOR = 0.5
 
 # the family integrator forms B + k D in blocks of at most this many floats
+# (one row of panels if a row is wider)
 _BLOCK_FLOATS = 2 ** 14
 
 # the core's seed edges step _GRADING-fold out from the peak, and in toward
@@ -371,11 +373,6 @@ _GK_WEIGHTS = np.concatenate([_WK, [_WK_CENTER], _WK[::-1]])
 _G7_WEIGHTS = np.concatenate([_WG, [_WG_CENTER], _WG[::-1]])
 
 
-def _eval_log(log_f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    v = np.asarray(log_f(np.asarray(x, dtype=float)), dtype=float)
-    return np.where(np.isnan(v), _NEG_INF, v)
-
-
 def _panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     # the GK nodes of the panels [lo[i], hi[i]], one row each, and their
     # half-widths
@@ -387,7 +384,8 @@ def _panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def _panels(v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # GK estimates and error models of panels of half-widths h from the
     # integrand's values v at their nodes; v has shape (..., len(h), 15), a
-    # leading axis holding one integrand of a family each
+    # leading axis holding one integrand of a family each. The caller has
+    # floating-point warnings off
     ik = h * (v @ _GK_WEIGHTS)
     # error model with the roughness rescaling: |ik - ig| alone under-reports
     # on panels touching an integrable singularity
@@ -395,22 +393,35 @@ def _panels(v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     resabs = h * (np.abs(v) @ _GK_WEIGHTS)
     dev = v - (ik / (2.0 * h))[..., None]
     resasc = h * (np.abs(dev, out=dev) @ _GK_WEIGHTS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
     return ik, np.maximum(err, 10.0 * 2.220446049250313e-16 * resabs)
+
+
+def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
+    # the points of np.geomspace(start, stop, num) for positive scalars, by
+    # its own arithmetic, without its per-call overhead, which exceeds that
+    # of the bracket scan it feeds
+    log_start = np.log10(start)
+    g = np.arange(num, dtype=float)
+    g *= (np.log10(stop) - log_start) / (num - 1)
+    g += log_start
+    g = np.power(10.0, g)
+    g[0], g[-1] = start, stop
+    return g
 
 
 def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]:
     # the scanned maximum of log f and the points a <= left <= peak <= right
     # <= b: the peak, its scanned neighbours, and the cut points where log f
-    # has fallen by cut, all read off array scans of offsets from lower
+    # has fallen by cut, all read off array scans of offsets from lower.
+    # log_f maps nan to -inf
     scale = max(1.0, abs(lower))
     hi = 1e10 * scale
     while True:
-        g = np.geomspace(_FIRST_OFFSET * scale, hi, 131)
-        v = _eval_log(log_f, lower + g)
-        i = int(np.argmax(v))
+        g = _geomspace(_FIRST_OFFSET * scale, hi, 131)
+        v = log_f(lower + g)
+        i = int(v.argmax())
         if v[i] > _NEG_INF and i < len(g) - 1:
             break
         if hi >= 1e250:
@@ -431,9 +442,9 @@ def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]
             raise QuadratureError(
                 f"peak near t = {float(lower + g[i]):.17g} unresolved at float resolution"
             )
-        g = np.geomspace(g_lo, g_hi, 65)
-        v = _eval_log(log_f, lower + g)
-        i = int(np.argmax(v))
+        g = _geomspace(g_lo, g_hi, 65)
+        v = log_f(lower + g)
+        i = int(v.argmax())
         offsets.append(g)
         values.append(v)
     peak, m_log = float(g[i]), float(v[i])
@@ -442,19 +453,22 @@ def _bracket(log_f, lower: float, cut: float) -> tuple[float, tuple[float, ...]]
     # cut points: the nearest scanned offsets at or below the cut level
     g, v = np.concatenate(offsets), np.concatenate(values)
     below = v <= m_log - cut
-    a = float(np.max(g[below & (g < peak)], initial=0.0))
+    a = float(np.maximum.reduce(g[below & (g < peak)], initial=0.0))
     beyond = g[below & (g > peak)]
     if beyond.size == 0:
-        g = np.geomspace(hi, 1e290, 281)
-        beyond = g[_eval_log(log_f, lower + g) <= m_log - cut]
+        g = _geomspace(hi, 1e290, 281)
+        beyond = g[log_f(lower + g) <= m_log - cut]
         if beyond.size == 0:
             raise QuadratureError("integrand does not fall below the cut level; not decaying")
-    return m_log, tuple(lower + t for t in (a, *near, float(np.min(beyond))))
+    return m_log, tuple(lower + t for t in (a, *near, float(beyond.min())))
 
 
-def _core_edges(lower: float, seeds: tuple[float, ...]) -> list[float]:
-    # seed edges of the heap over [lower, b]: lower, the bracket's seeds, and
-    # points graded out from the peak, each step _GRADING times the last
+def _core_edges(lower: float, seeds: tuple[float, ...]) -> set[float]:
+    # seed edges of the core [lower, b]: lower, the bracket's seeds, and
+    # points graded out from the peak, each step _GRADING times the last. A
+    # kink at the true maximum lies inside a panel narrow enough for the GK
+    # nodes to straddle it, and a feature far from the peak (a rise next to
+    # lower) still meets panels of its own scale
     a, left, peak, right, b = seeds
     edges = {lower, *seeds}
     h = right - peak
@@ -472,7 +486,7 @@ def _core_edges(lower: float, seeds: tuple[float, ...]) -> list[float]:
     while offset / _GRADING > floor:
         offset /= _GRADING
         edges.add(lower + offset)
-    return sorted(edges)
+    return edges
 
 
 def integrate_decaying(
@@ -484,193 +498,122 @@ def integrate_decaying(
     exponentially decaying integrand, returned as a LogValue.
 
     log_f must accept a 1-D float array and return log-integrand values
-    (-inf where the integrand vanishes). The integrand is assumed to have a
-    single dominant peak (possibly at the boundary). A 131-point geometric
-    scan of offsets t - lower from 1e-12 out to 1e10 (extended up to 1e250
-    while the integrand still rises) finds it. 65-point geometric zooms
-    between the neighbours of the best point repeat until both neighbours
-    are within 1 nat of it, which takes about a dozen zooms at most. The
-    engine rescales by that maximum and takes as the bracket [a, b] the
-    nearest scanned offsets on each side where log f is at least the cut
-    D = max(45, 30 - log rtol) below it; a heavy right tail gets one more
-    scan out to 1e290.
+    (-inf where the integrand vanishes; nan counts as -inf). The integrand is
+    assumed to have a single dominant peak (possibly at the boundary). A
+    131-point geometric scan of offsets t - lower from 1e-12 out to 1e10
+    (extended up to 1e250 while the integrand still rises) finds it. 65-point
+    geometric zooms between the neighbours of the best point repeat until
+    both neighbours are within 1 nat of it, which takes about a dozen zooms
+    at most. The bracket [a, b] is the nearest scanned offsets on each side
+    where log f is at least the cut D = max(45, 30 - log rtol) below the
+    maximum; a heavy right tail gets one more scan out to 1e290. An
+    integrand that is -inf at every scanned point integrates to zero.
 
-    One adaptive 15-point Gauss-Kronrod heap covers [lower, b]. Its seed
-    edges are lower, a, the peak, its neighbours, and points graded out from
-    the peak in steps growing 4-fold from the neighbour's distance; left of
-    those, offsets from lower shrink 4-fold down to a, or, if a = lower, to
-    the scan's first offset. The seed panels take one log_f call and each
-    split one more. Doubling panels then sweep the right tail beyond b.
+    The integral is the one-member family B = log f, D = 0, k = 0 of
+    _integrate_family. Adaptive 15-point Gauss-Kronrod panels cover
+    [lower, b], seeded with a, the peak, its neighbours, and edges graded
+    4-fold out from the peak and in toward lower. Refinement runs in rounds,
+    one log_f call each, that split every panel holding more than its share
+    of the error budget. Doubling panels then sweep the right tail beyond b.
 
-    Raises QuadratureError for an integrand that does not decay, for a peak
-    still unresolved when the zoom interval reaches float resolution (a
-    spike narrower than the float spacing, or a jump at the maximum), for a
-    total or error estimate that is not finite, or if the requested relative
+    Raises ValueError for a lower limit that is not finite. Raises
+    QuadratureError for an integrand that does not decay, for a peak still
+    unresolved when the zoom interval reaches float resolution (a spike
+    narrower than the float spacing, or a jump at the maximum), for a total
+    or error estimate that is not finite, or if the requested relative
     tolerance cannot be certified: within MAX_SUBDIVISIONS core splits, or
     once the error sum has stalled at the integrand's rounding floor (a
     window of max(64, panels) splits that does not halve it).
     """
-    if spec is None:
-        spec = DEFAULT_QUADRATURE
-    rtol = spec.relative_tolerance
-
-    cut = max(45.0, -math.log(rtol) + 30.0)
-    m_log, seeds = _bracket(log_f, lower, cut)
-    if m_log == _NEG_INF:
-        return LogValue.zero()
-    a, b = seeds[0], seeds[-1]
-
-    def panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        x, h = _panel_nodes(lo, hi)
-        return _panels(np.exp(_eval_log(log_f, x.ravel()) - m_log).reshape(x.shape), h)
-
-    # core: adaptive GK on [lower, b]. A kink at the true maximum lies inside
-    # a panel narrow enough for the GK nodes to straddle it, and the seed
-    # panels widen with the distance from the peak, so a feature far from it
-    # (a rise next to lower) still meets panels of its own scale
-    edges = _core_edges(lower, seeds)
-    iks, errs = (v.tolist() for v in panels(edges[:-1], edges[1:]))
-    heap = list(zip([-e for e in errs], range(len(errs)), edges[:-1], edges[1:], iks, errs))
-    heapq.heapify(heap)
-    counter, total, errsum = len(heap), sum(iks), sum(errs)
-    splits, stuck_err, stalled = 0, 0.0, False
-    window_end, window_err = max(_MIN_STALL_WINDOW, len(heap)), errsum
-    while errsum - stuck_err > 0.0 and errsum > 0.25 * rtol * max(abs(total), 1e-300) and heap:
-        if splits >= MAX_SUBDIVISIONS:
-            raise QuadratureError(
-                f"subdivision budget {MAX_SUBDIVISIONS} exhausted; "
-                f"achieved relative error ~{errsum / max(abs(total), 1e-300):.3e}"
-            )
-        if splits >= window_end:
-            stalled = errsum > _STALL_FACTOR * window_err
-            if stalled:
-                break
-            window_end, window_err = splits + max(_MIN_STALL_WINDOW, len(heap)), errsum
-        neg_err, _, lo_e, hi_e, ik, err = heapq.heappop(heap)
-        mid = 0.5 * (lo_e + hi_e)
-        if err <= 0.0 or mid <= lo_e or mid >= hi_e:
-            # unrefinable at float resolution; its error stays counted
-            stuck_err += err
-            continue
-        (ik1, ik2), (err1, err2) = (v.tolist() for v in panels([lo_e, mid], [mid, hi_e]))
-        total += ik1 + ik2 - ik
-        errsum += err1 + err2 - err
-        heapq.heappush(heap, (-err1, counter, lo_e, mid, ik1, err1))
-        heapq.heappush(heap, (-err2, counter + 1, mid, hi_e, ik2, err2))
-        counter += 2
-        splits += 1
-
-    sums = np.array([[total], [errsum]])
-    _, failure = _right_tail(
-        lambda rows, lo, hi: tuple(v[None] for v in panels(lo, hi)),
-        np.zeros(1, dtype=int), a, b, lower, sums, rtol,
+    if not math.isfinite(lower):
+        raise ValueError(f"lower must be a finite real, got {lower!r}")
+    out, failed = _integrate_family(
+        lambda t: (log_f(t), np.zeros(t.shape)), np.zeros(1), float(lower),
+        DEFAULT_QUADRATURE if spec is None else spec,
     )
-    if failure:
-        raise QuadratureError(failure)
-    total, errsum = sums[:, 0].tolist()
-
-    if not (math.isfinite(total) and math.isfinite(errsum)):
-        raise QuadratureError(
-            f"integral is not finite after rescaling by the scanned maximum e^{m_log:.6g}"
-        )
-    if total <= 0.0:
-        return LogValue.zero()
-    if errsum > rtol * abs(total):
-        floor = "; the error sum stalled at the integrand's rounding floor" if stalled else ""
-        raise QuadratureError(
-            f"achieved relative error {errsum / abs(total):.3e} exceeds requested {rtol:.3e}{floor}"
-        )
-    return LogValue.from_log(m_log + math.log(total), 1)
+    if failed:
+        raise QuadratureError(failed[0])
+    return LogValue.from_log(out[0])
 
 
-def _right_tail(columns, rows, a, b, lower, sums, rtol) -> tuple[np.ndarray, str | None]:
+def _right_tail(columns, rows, a, b, lower, sums, rtol) -> dict[int, str]:
     # the right tail beyond the core [a, b] of the integrands in rows:
     # doubling panels from b until each is provably negligible. columns(rows,
     # lo, hi) gives the GK estimates and errors of the panels [lo, hi], one
     # row per integrand; sums[0] (totals) and sums[1] (error sums) gain the
-    # tail in place. Returns the mask of the integrands finished and, if some
-    # are not, why
-    done = np.zeros(sums.shape[1], dtype=bool)
+    # tail in place. Returns the reason for each integrand left unfinished
     h, t_edge = max(b - a, 1e-3 * max(1.0, abs(lower))), b
-    c_prev, consec = np.full(rows.size, math.inf), np.zeros(rows.size, dtype=int)
+    c_prev, consec = math.inf, 0
     for _ in range(2000):
         if not rows.size:
-            return done, None
+            return {}
         if t_edge > 1e290:
-            return done, "right tail does not decay; integral may diverge"
-        ik, err = columns(rows, [t_edge], [t_edge + h])
-        sums[0, rows] += ik[:, 0]
-        sums[1, rows] += err[:, 0]
-        c = np.abs(ik[:, 0])
+            return dict.fromkeys(rows.tolist(), "right tail does not decay; integral may diverge")
+        est = columns(rows, [t_edge], [t_edge + h])[:, :, 0]
+        tail = sums[:, rows] + est
+        sums[:, rows] = tail
+        c = np.abs(est[0])
         t_edge += h
         h *= 2.0
-        scale = rtol * np.maximum(np.abs(sums[0, rows]), 1e-300)
+        scale = rtol * np.maximum(np.abs(tail[0]), 1e-300)
         small = (c <= scale / 64.0) & (c <= c_prev)
         consec = np.where(small, consec + 1, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # finished: two small panels in a row, and the geometric bound on
+        # what lies beyond within a quarter of the tolerance
+        finished = small & (consec >= 2)
+        if finished.any():
             r = np.where((c_prev > 0.0) & np.isfinite(c_prev), c / c_prev, 0.0)
             remaining = np.where(r < 1.0, c * r / (1.0 - r), math.inf)
-        finished = small & (consec >= 2) & (remaining <= 0.25 * scale)
-        done[rows[finished]] = True
-        rows, c_prev, consec = rows[~finished], c[~finished], consec[~finished]
-    return done, None if not rows.size else "right tail sweep did not converge"
+            finished &= remaining <= 0.25 * scale
+        going = ~finished
+        rows, c_prev, consec = rows[going], c[going], consec[going]
+    return dict.fromkeys(rows.tolist(), "right tail sweep did not converge")
 
 
-def _blocks(n_rows: int, n_cols: int, width: int):
-    # (row slice, column slice) pairs tiling an (n_rows, n_cols, width) array
-    # in blocks of at most _BLOCK_FLOATS entries (one column if a column is
-    # wider than that)
-    cols = max(1, min(n_cols, _BLOCK_FLOATS // width))
-    rows = max(1, _BLOCK_FLOATS // (cols * width))
-    for r0 in range(0, n_rows, rows):
-        for c0 in range(0, n_cols, cols):
-            yield slice(r0, r0 + rows), slice(c0, c0 + cols)
-
-
-def _log_family(base: np.ndarray, rate: np.ndarray, k: np.ndarray, shift=0.0) -> np.ndarray:
-    # B + k D - shift, broadcast, in one new array; nan (from -inf + inf)
-    # becomes -inf
+def _log_family(base: np.ndarray, rate: np.ndarray, k) -> np.ndarray:
+    # B + k D, broadcast, in one new array; nan (from -inf + inf) becomes -inf
     v = k * rate
     v += base
-    v -= shift
-    v[np.isnan(v)] = _NEG_INF
-    return v
+    return np.fmax(v, _NEG_INF, out=v)
 
 
+@np.errstate(all="ignore")
 def _integrate_family(
     log_terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     ks: np.ndarray,
     lower: float,
     spec: QuadratureSpec,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, dict[int, str]]:
     """log of int_lower^inf exp(B(t) + k D(t)) dt for each k of the
     increasing array ks, on one set of Gauss-Kronrod panels.
 
     log_terms(t) returns the pair (B(t), D(t)) for a 1-D float array t, and
-    D must increase in t, so that the peak of f_k = exp(B + k D) moves right
-    as k grows: the brackets of the first and the last k (integrate_decaying's
-    scans, cut and right-tail rule) enclose every peak, and f_k has fallen by
-    the cut at both ends of the core. The seed edges are both brackets' graded
-    edges plus geometric edges between the two peaks. B and D are evaluated
-    once per node, the seed nodes included, and B + k D is formed in blocks
-    of at most _BLOCK_FLOATS floats, each k rescaled by its maximum over the
-    seed nodes.
+    D must not decrease in t, so that the peak of f_k = exp(B + k D) moves
+    right as k grows: the brackets of the first and the last k (the scans,
+    cut and right-tail rule of integrate_decaying) enclose every peak, and
+    f_k has fallen by the cut at both ends of the core. The seed edges are
+    both brackets' graded edges plus geometric edges between the two peaks.
+    B and D are evaluated once per node, and B + k D is formed for whole
+    rows of panels in blocks of at most _BLOCK_FLOATS floats (one row if a
+    row is wider), each k rescaled by its maximum over the seed nodes.
 
     Refinement runs in vectorised rounds: each round splits every panel on
     which some k still refining holds more than its share, 1 / (number of
     panels), of its core budget 0.25 rtol |total_k|. A k leaves the rounds
-    once within that budget, or once its error sum stalls at its rounding
-    floor (a window of max(64, panels) splits that does not halve it, the
-    rule of integrate_decaying), keeping the sums of its round with the
-    least error sum. Each k is then certified by integrate_decaying's
-    final test, error sum <= rtol total, on the same error model. Returns the
-    logs and a mask of the k that failed, whose logs are nan. It raises no
-    QuadratureError: where a bracket scan raises one, every k is failed.
+    once within that budget, once MAX_SUBDIVISIONS splits are spent, or once
+    its error sum stalls at its rounding floor (a window of max(64, panels)
+    splits that does not halve it), keeping the sums of its round with the
+    least error sum. Each k is then certified by the final test, error sum
+    <= rtol total, after its right tail. Returns the logs, nan where a k
+    failed, and why each failed k failed, by index into ks: the message
+    integrate_decaying raises. Where a bracket scan fails, every k fails
+    with its message; where either end of the family is -inf at every
+    scanned point, every k integrates to zero. Floating-point warnings are
+    off throughout: the integrand's -inf and nan are part of its contract.
     """
     rtol = spec.relative_tolerance
     cut = max(45.0, -math.log(rtol) + 30.0)
     ks = np.asarray(ks, dtype=float)
-    out = np.full(ks.size, np.nan)
 
     def log_f(k: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda t: _log_family(*log_terms(t), k)
@@ -678,81 +621,108 @@ def _integrate_family(
     try:
         first = _bracket(log_f(ks[0]), lower, cut)
         last = _bracket(log_f(ks[-1]), lower, cut) if ks.size > 1 else first
-    except QuadratureError:
-        first = last = (_NEG_INF, ())
+    except QuadratureError as exc:
+        return np.full(ks.size, np.nan), dict.fromkeys(range(ks.size), str(exc))
     if first[0] == _NEG_INF or last[0] == _NEG_INF:
-        return out, np.ones(ks.size, dtype=bool)
+        return np.full(ks.size, _NEG_INF), {}
     a, b = min(first[1][0], last[1][0]), max(first[1][-1], last[1][-1])
-    edges = set(_core_edges(lower, first[1])) | set(_core_edges(lower, last[1]))
+    edges = _core_edges(lower, first[1])
+    if last is not first:
+        edges |= _core_edges(lower, last[1])
     # between the peaks, four edges per doubling of the offset
     near, far = first[1][2] - lower, last[1][2] - lower
     if far > near > 0.0:
         steps = 2 + math.ceil(4.0 * math.log2(far / near))
-        edges.update((lower + np.geomspace(near, far, steps)).tolist())
+        edges.update((lower + _geomspace(near, far, steps)).tolist())
     edges = np.array(sorted(e for e in edges if e <= b))
     lo, hi = edges[:-1], edges[1:]
+    k_col, m = ks[:, None], np.empty((ks.size, 1))
 
-    # each k is rescaled by its maximum over the seed nodes
-    x, _ = _panel_nodes(lo, hi)
-    base, rate = (np.asarray(v, dtype=float) for v in log_terms(x.ravel()))
-    m = np.full(ks.size, _NEG_INF)
-    for kb, xb in _blocks(ks.size, base.size, 1):
-        v = _log_family(base[xb], rate[xb], ks[kb, None])
-        m[kb] = np.fmax(m[kb], np.fmax.reduce(v, axis=1))
-
-    def columns(rows: np.ndarray, lo, hi, terms=None) -> tuple[np.ndarray, np.ndarray]:
-        # GK estimates and errors of the panels [lo, hi] for the k of ks[rows];
-        # terms, if given, holds B and D at their nodes
+    def columns(rows: np.ndarray, lo, hi, seed: bool = False) -> np.ndarray:
+        # GK estimates (row 0) and errors (row 1) of the panels [lo, hi] for
+        # the k of ks[rows], each rescaled by m; the seed panels set m, each
+        # k's maximum over their nodes
         x, h = _panel_nodes(lo, hi)
-        base, rate = (np.asarray(v, dtype=float).reshape(x.shape)
-                      for v in (log_terms(x.ravel()) if terms is None else terms))
-        ik, err = np.empty((rows.size, h.size)), np.empty((rows.size, h.size))
-        for kb, pb in _blocks(rows.size, h.size, x.shape[1]):
-            r = rows[kb, None, None]
-            v = _log_family(base[pb], rate[pb], ks[r], m[r])
-            ik[kb, pb], err[kb, pb] = _panels(np.exp(v, out=v), h[pb])
-        return ik, err
+        base, rate = log_terms(x.ravel())
+        est = np.empty((2, rows.size, h.size))
+        step = max(1, _BLOCK_FLOATS // x.size)
+        for r0 in range(0, rows.size, step):
+            r = rows[r0:r0 + step]
+            v = _log_family(base, rate, k_col[r])
+            if seed:
+                m[r] = np.maximum.reduce(v, axis=1, keepdims=True)
+            v -= m[r]
+            est[0, r0:r0 + step], est[1, r0:r0 + step] = _panels(
+                np.exp(v, out=v).reshape(r.size, *x.shape), h)
+        return est
 
     # core: rounds of splits on the panels of [lower, b]. Each k keeps the
-    # sums of its round with the least error sum. A k leaves the rounds once
-    # within budget, or, as in integrate_decaying, once a window of
-    # max(_MIN_STALL_WINDOW, panels) splits has not cut its error sum to
-    # _STALL_FACTOR of what it was (window: its end and that error sum)
-    total, errsum = np.zeros(ks.size), np.full(ks.size, math.inf)
-    rows = np.flatnonzero(np.isfinite(m))
-    ik, err = columns(rows, lo, hi, (base, rate))
-    splits, window = 0, np.array([np.zeros(rows.size), np.full(rows.size, math.inf)])
-    while rows.size:
-        tot, es = ik.sum(axis=1), err.sum(axis=1)
-        better = es < errsum[rows]
-        total[rows[better]], errsum[rows[better]] = tot[better], es[better]
+    # sums of its round with the least error sum (best: totals, error sums).
+    # A k leaves the rounds once within budget, once the splits are spent,
+    # or once a window of max(_MIN_STALL_WINDOW, panels) splits has not cut
+    # its error sum to _STALL_FACTOR of what it was (every k still refining
+    # opened its window in the same round: window_end, and window_err, its
+    # error sum then). A k whose m is not finite has nan sums and leaves at
+    # once
+    best = np.zeros((2, ks.size))
+    best[1] = math.inf
+    floor, spent = np.zeros(ks.size, dtype=bool), np.zeros(ks.size, dtype=bool)
+    rows = np.arange(ks.size)
+    est = columns(rows, lo, hi, seed=True)
+    splits, window_end, window_err = 0, 0, math.inf
+    while True:
+        sums = np.add.reduce(est, axis=2)
+        tot, es = sums[0], sums[1]
+        better = es < best[1, rows]
+        best[:, rows[better]] = sums[:, better]
         budget = 0.25 * rtol * np.maximum(np.abs(tot), 1e-300)
-        due = splits >= window[0]
-        stalled = due & (es > _STALL_FACTOR * window[1])
-        window[0, due], window[1, due] = splits + max(_MIN_STALL_WINDOW, lo.size), es[due]
-        keep = (es > budget) & ~stalled & (splits < MAX_SUBDIVISIONS)
-        rows, ik, err, budget, window = rows[keep], ik[keep], err[keep], budget[keep], window[:, keep]
+        keep = es > budget
+        if splits >= window_end:
+            stalled = es > _STALL_FACTOR * window_err
+            floor[rows[stalled]] = True
+            keep &= ~stalled
+            window_end, window_err = splits + max(_MIN_STALL_WINDOW, lo.size), es
+        if splits >= MAX_SUBDIVISIONS:
+            spent[rows[keep]] = True
+            break
+        rows = rows[keep]
+        if not rows.size:
+            break
+        est, budget, window_err = est[:, keep], budget[keep], window_err[keep]
         mid = 0.5 * (lo + hi)
-        split = (err > (budget / lo.size)[:, None]).any(axis=0) & (lo < mid) & (mid < hi)
-        if not split.any():
+        split = np.logical_or.reduce(est[1] > (budget / lo.size)[:, None]) & (lo < mid) & (mid < hi)
+        left = split.nonzero()[0]
+        if not left.size:
             # unrefinable at float resolution; the final test decides
             break
         # a split panel's left half takes its column, its right half is appended
-        left = np.flatnonzero(split)
-        new_ik, new_err = columns(rows, np.concatenate([lo[left], mid[left]]),
-                                  np.concatenate([mid[left], hi[left]]))
-        ik[:, left], err[:, left] = new_ik[:, :left.size], new_err[:, :left.size]
-        ik = np.concatenate([ik, new_ik[:, left.size:]], axis=1)
-        err = np.concatenate([err, new_err[:, left.size:]], axis=1)
-        lo, hi = np.concatenate([lo, mid[left]]), np.concatenate([hi, hi[left]])
-        hi[left] = mid[left]
+        mid, right = mid[left], hi[left]
+        new = columns(rows, np.concatenate([lo[left], mid]), np.concatenate([mid, right]))
+        est[:, :, left] = new[:, :, :left.size]
+        est = np.concatenate([est, new[:, :, left.size:]], axis=2)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, right])
+        hi[left] = mid
         splits += left.size
 
-    sums = np.stack([total, errsum])
-    rows = np.flatnonzero(np.isfinite(sums).all(axis=0))
-    ok, _ = _right_tail(columns, rows, a, b, lower, sums, rtol)
-    total, errsum = sums
-    ok &= np.isfinite(total) & np.isfinite(errsum) & (total > 0.0)
-    ok &= errsum <= rtol * np.abs(total)
-    out[ok] = m[ok] + np.log(total[ok])
-    return out, ~ok
+    finite = np.isfinite(best[0]) & np.isfinite(best[1])
+    tail = _right_tail(columns, finite.nonzero()[0], a, b, lower, best, rtol)
+    total, errsum = best[0], best[1]
+    ok = np.isfinite(total) & np.isfinite(errsum) & (errsum <= rtol * np.abs(total))
+    for i in tail:
+        ok[i] = False
+    out = np.where(ok, m[:, 0] + np.log(total), np.nan)
+    return out, {i: tail.get(i) or _failure(total[i], errsum[i], m[i, 0], rtol, floor[i], spent[i])
+                 for i in (~ok).nonzero()[0].tolist()}
+
+
+def _failure(total: float, errsum: float, m_log: float, rtol: float,
+             floor: bool, spent: bool) -> str:
+    # why an integral whose right tail finished failed the final test
+    if not (math.isfinite(total) and math.isfinite(errsum)):
+        return f"integral is not finite after rescaling by the scanned maximum e^{m_log:.6g}"
+    achieved = errsum / max(abs(total), 1e-300)
+    if spent:
+        return (f"subdivision budget {MAX_SUBDIVISIONS} exhausted; "
+                f"achieved relative error ~{achieved:.3e}")
+    why = "; the error sum stalled at the integrand's rounding floor" if floor else ""
+    return f"achieved relative error {achieved:.3e} exceeds requested {rtol:.3e}{why}"

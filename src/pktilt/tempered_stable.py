@@ -9,8 +9,8 @@ Conventions used throughout the package:
     which gives Laplace exponent
         psi(lam) = -delta gamma + delta (gamma^(1/alpha) + 2 lam)^alpha;
   - at alpha = 1/2 the tilted law is inverse Gaussian. stable_density then
-    uses the closed-form stable density, and ig_density is a cross-check
-    oracle. The eta integrals of pktilt.eppf are quadrature at every alpha
+    uses the closed-form stable density, and pktilt.oracle.ig_density is a
+    cross-check oracle. The eta integrals of pktilt.eppf are quadrature at every alpha
     (closed form at gamma = 0).
 """
 
@@ -28,8 +28,6 @@ __all__ = [
     "stable_density_series",
     "stable_density_half",
     "stable_density",
-    "tempered_density",
-    "ig_density",
     "laplace_exponent",
     "levy_density",
     "sample_stable",
@@ -169,40 +167,6 @@ def stable_density(alpha: float, delta: float, t: float) -> float:
     if alpha == 0.5:
         return stable_density_half(delta, t)
     return stable_density_series(alpha, delta, t)
-
-
-def tempered_density(params: GGParams, t: float) -> float:
-    """Tilted density exp(delta gamma - (1/2) gamma^(1/alpha) t) f_stable(t)."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
-    tilt = params.delta * params.gamma - params.tilt_rate * t
-    return math.exp(tilt) * stable_density(params.alpha, params.delta, t)
-
-
-def ig_density(delta: float, gamma: float, t):
-    """Inverse Gaussian density, the alpha = 1/2 member of the tilted family:
-
-    (delta / sqrt(2 pi)) e^(delta gamma) t^(-3/2)
-        exp(-(1/2)(delta^2 / t + gamma^2 t))
-
-    t may be a positive scalar or an array of positive values.
-    """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > 0.0):
-        raise ValueError(f"t must be positive, got {t!r}")
-    out = (
-        delta / _SQRT_2PI
-        * np.exp(delta * gamma)
-        * t_arr ** -1.5
-        * np.exp(-0.5 * (delta * delta / t_arr + gamma * gamma * t_arr))
-    )
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out)
-    return out
 
 
 def laplace_exponent(params: GGParams, lam):

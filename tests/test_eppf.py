@@ -176,8 +176,9 @@ def test_predictive_sums_to_one_at_large_tilt(params):
 )
 def test_eta_quadrature_work_is_bounded(params, monkeypatch):
     # the bracket around the peak comes from a few array scans, and the
-    # Gauss-Kronrod heap takes one log_f call for its seed panels and one per
-    # split, so one eta quadrature is about ten log_f calls.
+    # Gauss-Kronrod panels take one log_f call for the seed panels, one per
+    # round of splits and one per right-tail panel, so one eta quadrature is
+    # about ten log_f calls.
     # delta gamma = 1e-14 is where the quadrature is the oracle of the
     # gamma = 0 closed form
     calls = []
@@ -488,7 +489,7 @@ def test_eta_row_falls_back_to_cells(monkeypatch):
     def failing(log_terms, ks, lower, spec):
         out, failed = family(log_terms, ks, lower, spec)
         out[np.subtract(forced, 1)] = np.nan
-        failed[np.subtract(forced, 1)] = True
+        failed.update({k - 1: "forced" for k in forced})
         return out, failed
 
     cells = []
@@ -510,6 +511,38 @@ def test_eta_row_falls_back_to_cells(monkeypatch):
             assert memo.log_eta(40, k) == cell
         else:
             assert memo.log_eta(40, k) == pytest.approx(cell, abs=1e-10), k
+
+
+def test_eta_row_raises_the_cell_failure(monkeypatch):
+    # a k the shared panels do not certify, and whose own cell fails too,
+    # raises the cell's QuadratureError from the row
+    p = GGParams(0.6, 1.3, 0.8)
+    tight = QuadratureSpec(1e-15)
+    with pytest.raises(QuadratureError, match="rounding floor") as cell:
+        eppf._log_eta_cell(7, 3, p, tight)
+    family, integrate = eppf._integrate_family, eppf.integrate_decaying
+
+    def failing(log_terms, ks, lower, spec):
+        out, failed = family(log_terms, ks, lower, spec)
+        failed.update({2: "forced"})
+        return out, failed
+
+    monkeypatch.setattr(eppf, "_integrate_family", failing)
+    monkeypatch.setattr(eppf, "integrate_decaying",
+                        lambda log_f, lower, spec=None: integrate(log_f, lower, tight))
+    with pytest.raises(QuadratureError) as row:
+        eppf._log_eta_row(7, p, ROW_SPEC)
+    assert str(row.value) == str(cell.value)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("n", [0, -2, 2.5])
+def test_eta_memo_log_row_rejects_bad_n(n, gamma):
+    memo = EtaMemo(GGParams(0.5, 1.0, gamma))
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        memo.log_row(n)
+    assert memo.quadrature_cells == 0
+    assert memo.log_row(2)[1] == memo.log_eta(2, 1)
 
 
 def test_eta_row_runs_no_cell_quadrature(monkeypatch):

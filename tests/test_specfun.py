@@ -7,6 +7,7 @@ exact rational / closed-form arithmetic inline.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,10 +333,29 @@ def test_integrate_zero_integrand():
     assert r.is_zero
 
 
+@pytest.mark.parametrize("lower", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_non_finite_lower(lower):
+    with pytest.raises(ValueError, match="lower"):
+        integrate_decaying(lambda t: -t * t, lower)
+
+
 def test_integrate_nonzero_lower_endpoint():
     # int_2^inf e^-t dt = e^-2
     r = integrate_decaying(lambda t: np.where(t >= 2.0, -t, -np.inf), 2.0)
     assert r.value == pytest.approx(math.exp(-2.0), rel=1e-10)
+
+
+def test_geomspace_matches_numpy():
+    # the bracket scans take their points from specfun._geomspace; the
+    # points must be np.geomspace's, bit for bit, or the brackets would move
+    rng = np.random.default_rng(7)
+    cases = [(1e-12, 1e10, 131), (3.7e-12, 3.7e10, 131), (1e10, 1e290, 281)]
+    for _ in range(500):
+        start = 10.0 ** rng.uniform(-14.0, 250.0)
+        cases.append((start, start * 10.0 ** rng.uniform(1e-14, 20.0), 65))
+    for start, stop, num in cases:
+        got = specfun._geomspace(start, stop, num)
+        assert np.array_equal(got, np.geomspace(start, stop, num)), (start, stop, num)
 
 
 def test_integrate_budget_exhaustion_raises(monkeypatch):
@@ -395,7 +415,7 @@ def test_family_matches_gamma_function():
 
     ks = np.arange(1, 61)
     out, failed = specfun._integrate_family(terms, ks, 0.0, QuadratureSpec(1e-12))
-    assert not failed.any()
+    assert not failed
     ref = np.array([math.lgamma(k + 1.0) for k in ks])
     assert np.all(np.abs(out - ref) <= 1e-12 + 8 * EPS * np.abs(ref)), np.abs(out - ref).max()
 
@@ -412,7 +432,7 @@ def test_family_certifies_endpoint_singularity(rtol):
 
     ks = np.array([0, 1, 2])
     out, failed = specfun._integrate_family(terms, ks, 0.0, QuadratureSpec(rtol))
-    assert not failed.any()
+    assert not failed
     ref = np.array([math.lgamma(k + 0.25) for k in ks])
     assert np.all(np.abs(out - ref) <= rtol + 8 * EPS * np.abs(ref)), np.abs(out - ref)
     single = integrate_decaying(lambda t: terms(t)[0], 0.0, QuadratureSpec(rtol))
@@ -427,7 +447,7 @@ def test_family_below_rounding_floor_fails_fast():
 
     terms, calls = _counted(terms)
     out, failed = specfun._integrate_family(terms, np.arange(1, 31), 0.0, QuadratureSpec(1e-15))
-    assert failed.all() and np.isnan(out).all()
+    assert sorted(failed) == list(range(30)) and np.isnan(out).all()
     assert len(calls) <= 50, len(calls)
 
 
@@ -448,6 +468,31 @@ def _log_t(t):
 def test_integrate_non_decaying_raises(log_f, match):
     with pytest.raises(QuadratureError, match=match):
         integrate_decaying(log_f, 0.0)
+
+
+def _blank_numbers(message):
+    return re.sub(r"\d[\d.]*(e[-+]?\d+)?", "#", message)
+
+
+@pytest.mark.parametrize(
+    "base,rate,ks,rtol,match",
+    [
+        (lambda t: -t, _log_t, [1, 2, 3], 1e-15, "rounding floor"),
+        (lambda t: -0.5 * _log_t(t), np.zeros_like, [0, 1, 2], 1e-10, "right tail does not decay"),
+        (_log_t, _log_t, [1, 2, 3], 1e-10, "still rising"),
+    ],
+    ids=["rounding floor", "t^(-1/2)", "rising"],
+)
+def test_family_failure_reasons_match_integrate_decaying(base, rate, ks, rtol, match):
+    # each k the family fails carries the message integrate_decaying raises
+    # for that member alone, up to the figures in it
+    spec = QuadratureSpec(rtol)
+    out, failed = specfun._integrate_family(lambda t: (base(t), rate(t)), np.array(ks), 0.0, spec)
+    assert sorted(failed) == list(range(len(ks))) and np.isnan(out).all()
+    for i, k in enumerate(ks):
+        with pytest.raises(QuadratureError, match=match) as single:
+            integrate_decaying(lambda t: base(t) + k * rate(t), 0.0, spec)
+        assert _blank_numbers(failed[i]) == _blank_numbers(str(single.value)), (k, failed[i])
 
 
 def test_cancellation_error_is_arithmetic_error():

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import pktilt.tempered_stable as ts
+from pktilt.oracle import ig_density, tempered_density
 from pktilt.specfun import CancellationError, QuadratureSpec, integrate_decaying
 from pktilt.tempered_stable import (
     GGParams,
-    ig_density,
     laplace_exponent,
     levy_density,
     sample_stable,
@@ -24,7 +24,6 @@ from pktilt.tempered_stable import (
     stable_density,
     stable_density_half,
     stable_density_series,
-    tempered_density,
 )
 
 DELTAS = (0.5, 1.0, 2.0)
