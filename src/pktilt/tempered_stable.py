@@ -12,11 +12,17 @@ Conventions used throughout the package:
     uses the closed-form stable density, and pktilt.oracle.ig_density is a
     cross-check oracle. The eta integrals of pktilt.eppf are quadrature at every alpha
     (closed form at gamma = 0).
+
+Samplers: sample_stable draws the untilted law by Kanter's construction.
+sample_tempered splits T into the number of pieces that minimises the
+expected proposals and accepts stable proposals for each piece by rejection,
+drawing them in blocks of at most _BLOCK until every piece is filled.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,14 +179,24 @@ def laplace_exponent(params: GGParams, lam):
     """psi(lam) = -delta gamma + delta (gamma^(1/alpha) + 2 lam)^alpha.
 
     Accepts a scalar or array lam >= 0; psi(0) = 0, and psi is nonnegative,
-    increasing and concave on [0, inf).
+    increasing and concave on [0, inf). At gamma > 0 it is evaluated as
+    delta gamma expm1(alpha log1p(2 lam / gamma^(1/alpha))), so the two
+    terms never cancel, however large delta gamma is against psi.
     """
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(lam_arr < 0.0):
         raise ValueError("lam must be nonnegative")
-    out = -params.delta * params.gamma + params.delta * np.power(
-        params.gamma_root + 2.0 * lam_arr, params.alpha
-    )
+    a, d, g = params.alpha, params.delta, params.gamma
+    if g == 0.0:
+        out = d * np.power(2.0 * lam_arr, a)
+    else:
+        # a log1p(x), x = 2 lam / g^(1/a), from log x: g^(1/a) itself
+        # under- or overflows at small alpha
+        with np.errstate(divide="ignore"):
+            al = a * np.logaddexp(0.0, np.log(2.0 * lam_arr) - math.log(g) / a)
+        # d g expm1(al), written as d (g^(1/a) + 2 lam)^a (1 - e^(-al)) so
+        # that it overflows only when psi does
+        out = d * np.exp(math.log(g) + al) * -np.expm1(-al)
     if np.isscalar(lam) or lam_arr.ndim == 0:
         return float(out)
     return out
@@ -210,12 +226,12 @@ def sample_stable(alpha: float, delta: float, rng: np.random.Generator, size=Non
     A(u) = [sin(alpha u)^alpha sin((1-alpha) u)^(1-alpha) / sin(u)]^(1/(1-alpha)).
 
     Returns a float when size is None, else an ndarray of shape (size,).
+    size must be an integer >= 0 (NumPy integers included): a float or other
+    non-integer raises TypeError, a negative size ValueError.
     """
     _validate_alpha_delta(alpha, delta)
     scalar = size is None
-    m = 1 if scalar else int(size)
-    if m < 0:
-        raise ValueError("size must be nonnegative")
+    m = _draw_count(size)
     u = rng.uniform(0.0, math.pi, size=m)
     np.clip(u, 1e-300, math.pi * (1.0 - 1e-16), out=u)
     e = rng.standard_exponential(size=m)
@@ -232,6 +248,18 @@ def sample_stable(alpha: float, delta: float, rng: np.random.Generator, size=Non
     return t
 
 
+def _draw_count(size) -> int:
+    """Number of draws for a sampler's size argument: 1 for None."""
+    m = 1 if size is None else operator.index(size)
+    if m < 0:
+        raise ValueError("size must be nonnegative")
+    return m
+
+
+# proposals drawn per round of sample_tempered; part of its stream's definition
+_BLOCK = 2**14
+
+
 def sample_tempered(
     params: GGParams,
     rng: np.random.Generator,
@@ -241,39 +269,50 @@ def sample_tempered(
     """Draw from the tilted law by rejection from the untilted stable proposal.
 
     The Laplace exponent psi is linear in delta, so T is drawn as the sum of
-    m = max(1, ceil(delta gamma)) independent pieces from the tilted law at
-    (alpha, delta / m, gamma) (Hofert 2011). A stable proposal piece T_i is
-    accepted with probability exp(-(1/2) gamma^(1/alpha) T_i); the long-run
-    acceptance rate is exp(-delta gamma / m), at least exp(-1), so a draw
-    costs O(1 + delta gamma) proposals. At delta gamma <= 1, m = 1 and T is
-    a single piece. With return_stats=True also returns
-    {"proposed": ..., "accepted": ...} counted in pieces over whole
-    proposal batches, so accepted/proposed is an unbiased rate estimate.
+    m independent pieces from the tilted law at (alpha, delta / m, gamma)
+    (Hofert 2011). A stable proposal piece T_i is accepted with probability
+    exp(-(1/2) gamma^(1/alpha) T_i), tested as -log(U) > (1/2) gamma^(1/alpha) T_i;
+    the long-run acceptance rate is exp(-c / m), c = delta gamma, so a draw
+    costs m exp(c / m) proposals on average. m is the integer that minimises
+    that cost, floor(c) or floor(c) + 1 and at least 1; the acceptance rate
+    is then at least 1/4 (reached at c = 2 log 2), and a draw costs
+    O(1 + c) proposals. At c <= 2 log 2, m = 1 and T is a single piece.
+
+    Proposals are drawn in rounds of min(_BLOCK, remaining / rate + 16),
+    where remaining counts the pieces still missing, until size * m pieces
+    are accepted. Accepted pieces fill the draws in order, m consecutive
+    pieces per draw; the surplus of the last round is discarded. Memory is
+    O(size + _BLOCK) at every c. The stream is fixed by the seed and _BLOCK.
+
+    size is as for sample_stable. With return_stats=True also returns
+    {"proposed": ..., "accepted": ...}, counted in pieces over every drawn
+    round, surplus included, so accepted/proposed estimates the acceptance
+    rate without bias.
     """
-    scalar = size is None
-    m = 1 if scalar else int(size)
-    if m < 0:
-        raise ValueError("size must be nonnegative")
-    pieces = max(1, math.ceil(params.delta * params.gamma))
+    n = _draw_count(size)
+    c = params.delta * params.gamma
+    lo = max(1, math.floor(c))
+    pieces = min(lo, lo + 1, key=lambda k: math.log(k) + c / k)
     piece_delta = params.delta / pieces
-    rate = math.exp(-piece_delta * params.gamma)
-    out = np.zeros(m, dtype=float)
-    wanted = m * pieces
+    rate = math.exp(-c / pieces)
+    out = np.zeros(n, dtype=float)
+    wanted = n * pieces
     filled = 0
     proposed = 0
     accepted = 0
     while filled < wanted:
-        batch = min(max(int((wanted - filled) / max(rate, 1e-6) * 1.2) + 16, 16), 4_000_000)
+        batch = min(_BLOCK, int((wanted - filled) / rate) + 16)
         t = sample_stable(params.alpha, piece_delta, rng, size=batch)
-        u = rng.random(batch)
-        acc = t[u < np.exp(-params.tilt_rate * t)]
+        acc = t[-np.log(rng.random(batch)) > params.tilt_rate * t]
         proposed += batch
         accepted += acc.size
         take = min(acc.size, wanted - filled)
-        owner = np.arange(filled, filled + take) // pieces
-        out += np.bincount(owner, weights=acc[:take], minlength=m)
+        first = filled // pieces
+        owner = np.arange(filled, filled + take) // pieces - first
+        sums = np.bincount(owner, weights=acc[:take])
+        out[first:first + sums.size] += sums
         filled += take
-    result = float(out[0]) if scalar else out
+    result = float(out[0]) if size is None else out
     if return_stats:
         return result, {"proposed": proposed, "accepted": accepted}
     return result

@@ -8,6 +8,7 @@ pinned seeds.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,35 @@ def test_laplace_exponent_concave_increasing():
     assert np.all(np.diff(d1) < 1e-12)  # concave
 
 
+@pytest.mark.parametrize(
+    "alpha,delta,gamma,lam",
+    [(0.5, 1.0, 1e8, 1e-3), (0.5, 1e6, 50.0, 1e-6), (0.5, 3.0, 0.4, 2.5)],
+)
+def test_laplace_exponent_does_not_cancel(alpha, delta, gamma, lam):
+    # at alpha = 1/2, psi = delta 2 lam / (sqrt(gamma^2 + 2 lam) + gamma),
+    # a form with no cancellation; -delta gamma + delta (...)^alpha loses
+    # every digit at (1/2, 1, 1e8), lam = 1e-3, where psi = 1e-11
+    p = GGParams(alpha, delta, gamma)
+    ref = delta * 2.0 * lam / (math.sqrt(gamma * gamma + 2.0 * lam) + gamma)
+    assert laplace_exponent(p, lam) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    lams = lam * np.array([0.0, 1e-6, 1.0, 1e3])
+    refs = delta * 2.0 * lams / (np.sqrt(gamma * gamma + 2.0 * lams) + gamma)
+    vals = laplace_exponent(p, lams)
+    assert vals[0] == 0.0
+    np.testing.assert_allclose(vals[1:], refs[1:], rtol=1e-13, atol=0.0)
+
+
+def test_laplace_exponent_when_gamma_root_underflows():
+    # gamma^(1/alpha) = 1e-500 is 0 in floating point, and so
+    # 2 lam / gamma^(1/alpha) is infinite; psi = delta (2 lam)^alpha - delta gamma
+    # to 1 part in 1e400
+    p = GGParams(0.02, 1.5, 1e-10)
+    assert p.gamma_root == 0.0
+    for lam in (1e-3, 1.0, 50.0):
+        ref = 1.5 * (2.0 * lam) ** 0.02 - 1.5e-10
+        assert laplace_exponent(p, lam) == pytest.approx(ref, rel=1e-13)
+
+
 def test_laplace_exponent_derivative_at_zero():
     # psi'(0) = 2 delta alpha gamma^((alpha-1)/alpha) = E T
     p = GGParams(0.5, 1.0, 1.0)
@@ -334,6 +364,26 @@ def test_sample_tempered_acceptance_rate_and_laplace():
     assert abs(float(np.mean(w)) - math.exp(1.0 - math.sqrt(3.0))) < 4.0 * se_m
 
 
+@pytest.mark.parametrize("sampler", ["stable", "tempered"])
+@pytest.mark.parametrize("size", [2.7, 3.0, "3", -1, np.int64(3), np.uint8(0)])
+def test_sampler_size_must_be_an_integer(sampler, size):
+    rng = np.random.default_rng(0)
+
+    def draw():
+        if sampler == "stable":
+            return sample_stable(0.5, 1.0, rng, size=size)
+        return sample_tempered(GGParams(0.5, 1.0, 1.0), rng, size=size)
+
+    if isinstance(size, (float, str)):
+        with pytest.raises(TypeError):
+            draw()
+    elif size < 0:
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw()
+    else:
+        assert draw().shape == (int(size),)
+
+
 def test_sample_tempered_scalar():
     p = GGParams(0.5, 2.0, 0.5)
     x = sample_tempered(p, np.random.default_rng(3))
@@ -374,3 +424,50 @@ def test_sample_tempered_large_tilt_is_split(p):
     w = np.exp(-draws)
     se = float(np.std(w, ddof=1)) / math.sqrt(n)
     assert abs(float(np.mean(w)) - math.exp(-psi)) < 4.0 * se
+
+
+def test_sample_tempered_draws_at_most_one_surplus_block():
+    # m = 1 piece at delta gamma = 1, each kept with probability e^(-1): the
+    # proposals are the size / rate a negative binomial needs (sd ~0.2%),
+    # plus at most one round of surplus
+    p = GGParams(0.5, 1.0, 1.0)
+    n = 200_000
+    _, stats = sample_tempered(p, np.random.default_rng(3), size=n, return_stats=True)
+    assert stats["proposed"] <= 1.01 * n / math.exp(-1.0) + ts._BLOCK
+
+
+@pytest.mark.parametrize(
+    "p,n,limit_mb",
+    [(GGParams(0.5, 1.0, 0.2), 500_000, 8.0), (GGParams(0.5, 1000.0, 1.0), 1000, 2.0)],
+)
+def test_sample_tempered_memory_is_size_plus_block(p, n, limit_mb):
+    # the output (4 MB at 5e5 draws) plus one round's block-sized arrays,
+    # at any delta gamma: 1000 draws of 1000 pieces each never hold 1e6 pieces
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        draws = sample_tempered(p, rng, size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (n,)
+    assert peak <= limit_mb * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("alpha,seed", [(0.15, 8101), (0.5, 8102), (0.85, 8103)])
+def test_sample_tempered_laplace_across_tilts(alpha, seed):
+    # E e^(-lam T) = e^(-psi(lam)) at lam in {1/2, 1, 2}. The standard error
+    # comes from the exact variance e^(-psi(2 lam)) - e^(-2 psi(lam)), not
+    # from the sample, whose spread is unreliable at small alpha. The tilts
+    # cover both piece rules: m = floor(c) at c = 1.3, floor(c) + 1 at 2.5, 5.9
+    rng = np.random.default_rng(seed)
+    n = 40_000
+    delta = 1.7
+    for c in (0.0, 0.5, 1.3, 2.5, 5.9):
+        p = GGParams(alpha, delta, c / delta)
+        draws = sample_tempered(p, rng, size=n)
+        for lam in (0.5, 1.0, 2.0):
+            mean = math.exp(-laplace_exponent(p, lam))
+            var = math.exp(-laplace_exponent(p, 2.0 * lam)) - mean * mean
+            z = (float(np.mean(np.exp(-lam * draws))) - mean) / math.sqrt(var / n)
+            assert abs(z) <= 4.0, f"c={c}, lam={lam}: z={z:.2f}"
