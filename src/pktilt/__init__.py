@@ -47,7 +47,6 @@ from .blocks import (
     diversity_density,
 )
 from .sampler import (
-    PartitionSample,
     McReport,
     sample_partition,
     monte_carlo_blocks,
@@ -72,7 +71,6 @@ __all__ = [
     "log_eppf", "predictive",
     "stirling_table", "BlockCountPmf", "blocks_pmf",
     "diversity_density",
-    "PartitionSample", "McReport", "sample_partition", "monte_carlo_blocks",
-    "empirical_diversity",
+    "McReport", "sample_partition", "monte_carlo_blocks", "empirical_diversity",
     "SetPartition", "enumerate_set_partitions", "bell_number", "exact_blocks_pmf",
 ]

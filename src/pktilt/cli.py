@@ -33,7 +33,7 @@ from .tempered_stable import SERIES_CANCELLATION_GUARD, SERIES_TERM_TOLERANCE, G
 from .eppf import Composition, EtaMemo, log_eppf, predictive
 from .blocks import _log_diversity_density, blocks_pmf, diversity_density
 from .oracle import MAX_ENUMERATION_N, enumerate_set_partitions, exact_blocks_pmf
-from .sampler import _replicate_rng, monte_carlo_blocks, sample_partition
+from .sampler import monte_carlo_blocks, sample_partition
 
 __all__ = ["main", "build_parser"]
 
@@ -334,21 +334,18 @@ def cmd_sample(args, params: GGParams, spec: QuadratureSpec):
     if args.n < 1 or args.replicates < 1:
         raise ValueError("--n and --replicates must be >= 1")
     eta = EtaMemo(params, spec)
-    eta.ensure_rows(args.n)
+    labels = sample_partition(args.n, params, args.replicates, args.seed, eta=eta)
+    # a label may exceed every earlier label by at most one
+    seen = np.maximum.accumulate(labels, axis=1)
+    ok_labels = bool(np.all(np.diff(seen, axis=1, prepend=0) <= 1))
     samples = []
-    ok_labels = True
-    for r in range(args.replicates):
-        part = sample_partition(args.n, params, _replicate_rng(args.seed, r), eta=eta)
-        seen = 0
-        for lab in part.labels:
-            if lab > seen + 1:
-                ok_labels = False
-            seen = max(seen, lab)
+    for r, row in enumerate(labels):
+        sizes = np.bincount(row)[1:]
         samples.append({
             "replicate": r,
-            "k": len(part.block_sizes),
-            "block_sizes": list(part.block_sizes),
-            "labels": list(part.labels),
+            "k": len(sizes),
+            "block_sizes": sizes.tolist(),
+            "labels": row.tolist(),
         })
     payload = {"n": args.n, "replicates": args.replicates, "samples": samples}
     checks = [{

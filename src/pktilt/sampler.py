@@ -1,37 +1,35 @@
-"""Sequential partition sampling and Monte Carlo summaries.
+"""Partition sampling from the predictive rule, and Monte Carlo summaries.
 
-One element at a time: element i + 1 opens a new block with probability
-_new_block_prob(eta, i, k), an eta ratio read off the predictive rule, and
-otherwise joins existing block j with weight proportional to (n_j - alpha).
-That one function is the only place the seating rule is computed.
+Given i elements in k blocks, element i + 1 opens a new block with
+probability _new_block_prob(eta, i, k), the one place eta enters; otherwise
+it joins block b with probability (n_b - alpha) / (i - k alpha), free of eta
+(the partition is of Gibbs type). The block count K_n is thus a birth chain,
+which _block_counts runs over whole arrays of replicates for
+monte_carlo_blocks and empirical_diversity. sample_partition runs the same
+chain, records which steps open a block, and seats every other element in
+one pass over whole arrays, by
 
-sample_partition draws whole partitions. Block choice within the existing
-branch is done by uniform-proposal rejection, so one step costs O(1) RNG
-draws regardless of n; per-step RNG consumption depends only on the
-partition prefix, which keeps a replicate's path identical across different
-target n for the same seed stream (used by coupled convergence tests).
+    (n_b - alpha)/(i - k alpha) = (i - k)/(i - k alpha) * (n_b - 1)/(i - k)
+                                + k (1 - alpha)/(i - k alpha) * 1/k:
 
-monte_carlo_blocks and empirical_diversity need only the block count K_n,
-which is a birth chain on its own: replicate r opens a new block at step i
-when its uniform u[i] < _new_block_prob(eta, i, k).
+with the first weight the element copies the label of a uniformly chosen
+earlier element that opened no block (block b holds n_b - 1 of them), else
+it joins a uniformly chosen block. Copied labels are resolved by pointer
+jumping, in O(log n) array passes.
 
-The two stream rules, side by side:
-
-- sample_partition: one generator per replicate. CLI sample gives
-  replicate r of a run _replicate_rng(seed, r) = default_rng(SeedSequence(
-  entropy=seed, spawn_key=(r,))), read one step at a time.
-- the K_n chain: one generator per chunk of _CHUNK = 256 replicates.
-  Chunk c = r // 256 uses _replicate_rng(seed, c) and draws its uniforms
-  step-major as random((n, 256)); replicate r reads column r % 256. The
-  last chunk is always drawn whole, so replicate r's K_n depends on
-  (seed, r) alone, not on the replicate count. Since
-  random((n, 256))[:m] == random((m, 256)), the chain is prefix-coupled
-  across n. _CHUNK is part of the stream's definition: changing it
-  changes every K_n stream.
-
-The chain reads a different stream from sample_partition, so K_n of
-replicate r is not the block count of sample_partition's replicate r. Both
-rules make reports reproducible from (seed, replicates) alone.
+The stream rule: replicate r is column r % 256 of chunk c = r // 256, and
+chunk c draws, step-major, the chain's uniforms u = random((n, 256)) from
+_replicate_rng(seed, c) and the seating uniforms v = random((n, 2, 256))
+from _replicate_rng(seed, c, 1), where _replicate_rng(seed, *key) is
+default_rng(SeedSequence(entropy=seed, spawn_key=key)). Element i opens a
+block when u[i] < _new_block_prob(eta, i, k); otherwise it copies the label
+of the floor(v[i, 1] (i - k))-th earlier element that opened no block when
+v[i, 0] (i - k alpha) < i - k, and else joins block floor(v[i, 1] k) + 1.
+Hence a partition's block count is the K_n of the same (seed, r), bit for
+bit; the last chunk is drawn whole, so replicate r depends on (seed, r)
+alone, not on the replicate count; and since random((n, ...))[:m] ==
+random((m, ...)), runs with a shared eta table are prefix-coupled across n.
+_CHUNK is part of the stream's definition: changing it changes every stream.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .eppf import EtaMemo, _memo_for
 from .blocks import blocks_pmf
 
 __all__ = [
-    "PartitionSample",
     "McReport",
     "sample_partition",
     "monte_carlo_blocks",
@@ -55,22 +52,8 @@ __all__ = [
 
 # the K_n chain holds at most this many uniforms at once
 _CHAIN_CELLS = 2**22
-# replicates per K_n chain generator; part of the stream's definition
+# replicates per generator; part of the stream's definition
 _CHUNK = 256
-
-
-@dataclass(frozen=True)
-class PartitionSample:
-    """A sampled partition of {1, ..., n}; labels are 1-based and appear in
-    first-use order (element 1 always has label 1)."""
-
-    n: int
-    labels: tuple[int, ...]
-    block_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != self.n:
-            raise ValueError("labels must have length n")
 
 
 @dataclass(frozen=True)
@@ -85,8 +68,16 @@ class McReport:
     tv_distance: float
 
 
-def _replicate_rng(seed: int, r: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _chunks(n: int, replicates: int) -> int:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    return -(-replicates // _CHUNK)
 
 
 def _new_block_prob(eta: EtaMemo, i: int, k: int | np.ndarray):
@@ -97,77 +88,87 @@ def _new_block_prob(eta: EtaMemo, i: int, k: int | np.ndarray):
     return 1.0 / (1.0 + (i - k * alpha) / (alpha * delta) * np.exp(row[k] - row[k + 1]))
 
 
-def sample_partition(
-    n: int,
-    params: GGParams,
-    rng: np.random.Generator,
-    *,
-    eta: EtaMemo | None = None,
-) -> PartitionSample:
-    """Draw one partition of {1, ..., n} from the tilted stable partition model.
-
-    eta, a memo for the same params, serves the eta table; by default a
-    fresh memo at the default quadrature tolerance.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    eta = _memo_for(params, eta)
-    eta.ensure_rows(n)
-    alpha = params.alpha
-    labels = np.zeros(n, dtype=np.int64)
-    labels[0] = 1
-    sizes = [1]
-    for i in range(1, n):
-        k = len(sizes)
-        if rng.random() < _new_block_prob(eta, i, k):
-            sizes.append(1)
-            labels[i] = k + 1
-        else:
-            while True:
-                j = int(rng.integers(0, i))
-                b = labels[j] - 1
-                sz = sizes[b]
-                if rng.random() * sz < sz - alpha:
-                    sizes[b] += 1
-                    labels[i] = b + 1
-                    break
-    return PartitionSample(n=n, labels=tuple(int(v) for v in labels), block_sizes=tuple(sizes))
-
-
 def _block_counts(
     n: int,
     params: GGParams,
     replicates: int,
     seed: int,
     eta: EtaMemo | None,
+    opens: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EtaMemo]:
     """K_n of replicates 0, ..., replicates - 1 of seed, and the eta table used.
 
     A block of whole chunks runs at once, with uniforms u[chunk, step,
     column]; when one chunk's n x _CHUNK uniforms exceed _CHAIN_CELLS, its
     steps are drawn in slabs, which successive random calls on its
-    generator join up to exactly random((n, _CHUNK)).
+    generator join up to exactly random((n, _CHUNK)). If opens, a bool
+    array of shape (chunks, n, _CHUNK), is given, opens[c, i] records which
+    columns of chunk c open a block at step i >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    chunks = _chunks(n, replicates)
     eta = _memo_for(params, eta)
     eta.ensure_rows(n)
-    chunks = -(-replicates // _CHUNK)
     k = np.ones((chunks, _CHUNK), dtype=np.int64)
     per_block = max(1, _CHAIN_CELLS // (n * _CHUNK))
     slab = min(n, max(1, _CHAIN_CELLS // (per_block * _CHUNK)))
     for lo in range(0, chunks, per_block):
         kb = k[lo:lo + per_block]
+        ob = None if opens is None else opens[lo:lo + per_block]
         gens = [_replicate_rng(seed, c) for c in range(lo, lo + len(kb))]
         for s0 in range(0, n, slab):
             u = np.empty((len(kb), min(slab, n - s0), _CHUNK))
             for g, uc in zip(gens, u):
                 g.random(out=uc)
             for i in range(max(s0, 1), s0 + u.shape[1]):
-                kb += u[:, i - s0] < _new_block_prob(eta, i, kb)
+                new = u[:, i - s0] < _new_block_prob(eta, i, kb)
+                kb += new
+                if ob is not None:
+                    ob[:, i] = new
     return k.ravel()[:replicates], eta
+
+
+def sample_partition(
+    n: int,
+    params: GGParams,
+    replicates: int,
+    seed: int,
+    *,
+    eta: EtaMemo | None = None,
+) -> np.ndarray:
+    """Draw partitions of {1, ..., n}: replicates 0, ..., replicates - 1 of seed.
+
+    Returns an int64 array of shape (replicates, n). Row r holds replicate
+    r's block labels, 1-based and in first-use order: element 1 has label 1,
+    and a new block takes the next label. Its block count is the K_n of the
+    same replicate in monte_carlo_blocks and empirical_diversity. eta, a
+    memo for the same params, serves the eta table; by default a fresh memo
+    at the default quadrature tolerance. Each chunk's seating pass holds
+    O(n * _CHUNK) temporaries, and seats only the columns the run returns.
+    """
+    chunks = _chunks(n, replicates)
+    opens = np.ones((chunks, n, _CHUNK), dtype=bool)  # step 0 opens; the chain fills the rest
+    _block_counts(n, params, replicates, seed, eta, opens)
+    i = np.arange(n)[:, None]
+    labels = np.empty((replicates, n), dtype=np.int64)
+    for c, o in enumerate(opens):
+        rows = labels[c * _CHUNK:(c + 1) * _CHUNK]
+        m = len(rows)  # only the columns the run returns are seated
+        o = o[:, :m]
+        v = _replicate_rng(seed, c, 1).random((n, 2, _CHUNK))[:, :, :m]
+        cols = np.arange(m)  # element i of column j sits at flat index i * m + j
+        k = np.cumsum(o, axis=0) - o  # blocks before element i
+        joiners = i - k  # earlier elements that opened no block
+        copy = ~o & (v[:, 0] * (i - k * params.alpha) < joiners)
+        lab = np.where(o, k + 1, (v[:, 1] * k).astype(np.int64) + 1)
+        # a stable sort lists the elements that opened no block first, in order
+        order = np.argsort(o, axis=0, kind="stable") * m + cols
+        picked = np.take(order, (v[:, 1] * joiners).astype(np.int64) * m + cols)
+        ptr = np.where(copy, picked, i * m + cols)
+        # pointer jumping: each pass doubles how far back a copy chain is followed
+        while not np.array_equal(ptr, nxt := np.take(ptr, ptr)):
+            ptr = nxt
+        rows[:] = np.take(lab, ptr).T
+    return labels
 
 
 def monte_carlo_blocks(

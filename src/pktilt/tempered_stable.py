@@ -48,7 +48,8 @@ class GGParams:
     """Parameters (alpha, delta, gamma) of the tilted stable family.
 
     alpha in (0, 1) is the stable index, delta > 0 the scale, gamma >= 0 the
-    tilt, both finite; gamma = 0 recovers the untilted stable law.
+    tilt, both finite and with a finite product delta * gamma; gamma = 0
+    recovers the untilted stable law.
     """
 
     alpha: float
@@ -62,6 +63,8 @@ class GGParams:
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma!r}")
+        if not math.isfinite(self.delta * self.gamma):
+            raise ValueError(f"delta * gamma must be finite, got {self.delta!r} * {self.gamma!r}")
 
     @property
     def gamma_root(self) -> float:

@@ -156,8 +156,8 @@ def test_small_alpha_quadrature_does_not_overflow(params):
     # log w - log gamma^(1/alpha) near the lower limit must come from the
     # offset u - delta gamma: two nearly equal logs keep no digits of it
     assert predictive(Composition((3, 2, 1)), params).total == pytest.approx(1.0, abs=1e-8)
-    part = sample_partition(12, params, np.random.default_rng(0))
-    assert sum(part.block_sizes) == 12
+    labels = sample_partition(12, params, 1, 0)
+    assert labels.shape == (1, 12) and labels.min() == 1
 
 
 @pytest.mark.parametrize(
@@ -391,9 +391,7 @@ ETA_CONSUMERS = {
     "predictive": lambda p, eta: predictive(Composition((3, 2)), p, eta=eta),
     "predictive_empty": lambda p, eta: predictive(None, p, eta=eta),
     "blocks_pmf": lambda p, eta: blocks_pmf(10, p, eta=eta),
-    "sample_partition": lambda p, eta: sample_partition(
-        10, p, np.random.default_rng(0), eta=eta
-    ),
+    "sample_partition": lambda p, eta: sample_partition(10, p, 1, 0, eta=eta),
     "monte_carlo_blocks": lambda p, eta: monte_carlo_blocks(10, p, 5, 0, eta=eta),
     "empirical_diversity": lambda p, eta: empirical_diversity(10, p, 5, 0, eta=eta),
     "exact_blocks_pmf": lambda p, eta: exact_blocks_pmf(4, p, eta=eta),

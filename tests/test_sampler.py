@@ -1,13 +1,12 @@
-"""Tests for the sequential partition sampler and its Monte Carlo wrappers.
+"""Tests for the partition sampler and its Monte Carlo wrappers.
 
 The sampler's step probabilities must reproduce the partition law exactly
-(path product = EPPF for every partition), replicate streams must be
-deterministic in (seed, r), and per-step randomness consumption must depend
-only on the partition prefix so runs with different target n stay coupled.
-The same holds for the K_n chain behind the Monte Carlo wrappers, which
-must not run the partition sampler at all, draws from one generator per
-chunk of 256 replicates, and gives replicate r the same K_n whatever the
-replicate count.
+(path product = EPPF for every partition). Partitions and the K_n chain
+behind the Monte Carlo wrappers share one stream rule: one chain generator
+and one seating generator per chunk of 256 replicates, so replicate r
+depends on (seed, r) alone, its block count is the chain's K_n, and runs
+with different target n stay coupled. The wrappers must not seat
+partitions at all.
 """
 
 import math
@@ -21,7 +20,7 @@ from pktilt.eppf import Composition, EtaMemo, log_eppf
 from pktilt.oracle import enumerate_set_partitions
 import pktilt.sampler as sampler
 from pktilt.sampler import (
-    PartitionSample,
+    _CHUNK,
     _block_counts,
     _new_block_prob,
     _replicate_rng,
@@ -32,6 +31,7 @@ from pktilt.sampler import (
 from pktilt.tempered_stable import GGParams
 
 PARAMS = GGParams(0.5, 1.0, 1.0)
+SHAPE_LAW_PARAMS = [PARAMS, GGParams(0.3, 0.7, 1.5), GGParams(0.75, 2.0, 0.0)]
 
 
 def labels_of(partition) -> tuple[int, ...]:
@@ -40,6 +40,10 @@ def labels_of(partition) -> tuple[int, ...]:
         for el in block:
             out[el - 1] = b_idx
     return tuple(out)
+
+
+def block_sizes(labels) -> list[int]:
+    return np.bincount(labels)[1:].tolist()
 
 
 def sequential_log_prob(labels, eta) -> float:
@@ -84,12 +88,10 @@ def test_path_probability_equals_eppf(params):
     assert math.fsum(total) == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "params", [PARAMS, GGParams(0.3, 0.7, 1.5), GGParams(0.75, 2.0, 0.0)]
-)
+@pytest.mark.parametrize("params", SHAPE_LAW_PARAMS)
 def test_sample_partition_shape_law(params):
     # sorted block-size shapes of whole sampled partitions against the
-    # enumeration x EPPF law; this reaches the old-block rejection step
+    # enumeration x EPPF law
     n, reps = 6, 20_000
     eta = EtaMemo(params)
     eta.ensure_rows(n)
@@ -99,9 +101,8 @@ def test_sample_partition_shape_law(params):
         p = log_eppf(Composition(part.block_sizes), params, eta=eta).value
         law[shape] = law.get(shape, 0.0) + p
     counts = Counter(
-        tuple(sorted(sample_partition(n, params, _replicate_rng(0, r), eta=eta).block_sizes,
-                     reverse=True))
-        for r in range(reps)
+        tuple(sorted(block_sizes(row), reverse=True))
+        for row in sample_partition(n, params, reps, 0, eta=eta)
     )
     assert set(counts) <= set(law)
     tv = 0.5 * math.fsum(abs(counts[s] / reps - p) for s, p in law.items())
@@ -115,45 +116,124 @@ def test_sample_partition_shape_law(params):
 def test_sampler_deterministic_in_seed():
     eta = EtaMemo(PARAMS)
     eta.ensure_rows(26)
-    a = sample_partition(25, PARAMS, _replicate_rng(7, 3), eta=eta)
-    b = sample_partition(25, PARAMS, _replicate_rng(7, 3), eta=eta)
-    assert a.labels == b.labels
-    c = sample_partition(25, PARAMS, _replicate_rng(7, 4), eta=eta)
-    assert a.labels != c.labels  # different replicate, different stream
+    a = sample_partition(25, PARAMS, 5, 7, eta=eta)
+    b = sample_partition(25, PARAMS, 5, 7, eta=eta)
+    assert np.array_equal(a[3], b[3])
+    assert not np.array_equal(a[3], a[4])  # different replicate, different stream
 
 
 def test_sample_labels_first_use_order():
     eta = EtaMemo(PARAMS)
     eta.ensure_rows(41)
-    for r in range(5):
-        part = sample_partition(40, PARAMS, _replicate_rng(123, r), eta=eta)
-        assert part.labels[0] == 1
+    labels = sample_partition(40, PARAMS, 5, 123, eta=eta)
+    assert labels.shape == (5, 40) and labels.dtype == np.int64
+    for row in labels:
+        assert row[0] == 1
         seen = 0
-        for lab in part.labels:
+        for lab in row:
             assert 1 <= lab <= seen + 1  # a new label is always the next integer
             seen = max(seen, lab)
-        assert seen == len(part.block_sizes)
-        for b_idx, size in enumerate(part.block_sizes, start=1):
-            assert sum(1 for lab in part.labels if lab == b_idx) == size
 
 
 def test_paths_coupled_across_target_n():
-    # per-step randomness depends only on the prefix, so with a shared eta
-    # table the n = 30 run is the first 30 steps of the n = 60 run
+    # both streams are drawn step-major, so with a shared eta table the
+    # n = 30 run is the first 30 steps of the n = 60 run
     eta = EtaMemo(PARAMS)
     eta.ensure_rows(61)
-    for r in range(8):
-        small = sample_partition(30, PARAMS, _replicate_rng(9, r), eta=eta)
-        big = sample_partition(60, PARAMS, _replicate_rng(9, r), eta=eta)
-        assert big.labels[:30] == small.labels
-        assert len(big.block_sizes) >= len(small.block_sizes)
+    small = sample_partition(30, PARAMS, 8, 9, eta=eta)
+    big = sample_partition(60, PARAMS, 8, 9, eta=eta)
+    assert np.array_equal(big[:, :30], small)
+    assert np.all(big.max(axis=1) >= small.max(axis=1))
 
 
 def test_partition_sample_validation():
     with pytest.raises(ValueError):
-        PartitionSample(n=3, labels=(1, 1), block_sizes=(2,))
-    with pytest.raises(ValueError):
-        sample_partition(0, PARAMS, _replicate_rng(0, 0))
+        sample_partition(0, PARAMS, 1, 0)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        sample_partition(-1, PARAMS, 3, 0)
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
+        sample_partition(5, PARAMS, 0, 0)
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
+        sample_partition(5, PARAMS, -3, 0)
+
+
+def stepwise_labels(n, params, r, seed, eta) -> list[int]:
+    """Replicate r seated one element at a time from the sampler's two streams."""
+    c, col = divmod(r, _CHUNK)
+    u = _replicate_rng(seed, c).random((n, _CHUNK))[:, col]
+    v = _replicate_rng(seed, c, 1).random((n, 2, _CHUNK))[:, :, col]
+    alpha = params.alpha
+    labels, joined = [1], []  # joined: earlier elements that opened no block
+    for i in range(1, n):
+        k = max(labels)
+        if u[i] < _new_block_prob(eta, i, np.array([k]))[0]:
+            labels.append(k + 1)
+            continue
+        if v[i, 0] * (i - k * alpha) < i - k:
+            labels.append(labels[joined[int(v[i, 1] * (i - k))]])
+        else:
+            labels.append(int(v[i, 1] * k) + 1)
+        joined.append(i)
+    return labels
+
+
+@pytest.mark.parametrize("params", SHAPE_LAW_PARAMS)
+def test_seating_pass_equals_stepwise_seating(params):
+    eta = EtaMemo(params)
+    eta.ensure_rows(60)
+    labels = sample_partition(60, params, 300, 9, eta=eta)
+    for r in (0, 1, 100, 255, 256, 299):
+        assert labels[r].tolist() == stepwise_labels(60, params, r, 9, eta)
+
+
+@pytest.mark.parametrize("params", SHAPE_LAW_PARAMS)
+def test_partition_block_count_is_the_chains(params):
+    eta = EtaMemo(params)
+    eta.ensure_rows(40)
+    labels = sample_partition(40, params, 600, 2, eta=eta)
+    k, _ = _block_counts(40, params, 600, 2, eta)
+    assert np.array_equal(labels.max(axis=1), k)
+
+
+def test_partition_blocking_does_not_change_labels(monkeypatch):
+    # the chain's blocks of chunks and slabs of steps leave the opening
+    # steps, and so the labels, as they are
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(20)
+    whole = sample_partition(20, PARAMS, 600, 3, eta=eta)
+    monkeypatch.setattr(sampler, "_CHAIN_CELLS", 7 * 256 + 3)
+    assert np.array_equal(sample_partition(20, PARAMS, 600, 3, eta=eta), whole)
+
+
+def test_partition_labels_independent_of_replicate_count():
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(40)
+    l300 = sample_partition(40, PARAMS, 300, 4, eta=eta)
+    l100 = sample_partition(40, PARAMS, 100, 4, eta=eta)
+    assert np.array_equal(l300[:100], l100)
+    l257 = sample_partition(40, PARAMS, 257, 4, eta=eta)
+    l256 = sample_partition(40, PARAMS, 256, 4, eta=eta)
+    assert np.array_equal(l257[:256], l256)
+    assert np.array_equal(l300[:257], l257)
+
+
+@pytest.mark.parametrize("replicates", [1, 256, 257, 600])
+def test_partition_builds_two_generators_per_chunk(monkeypatch, replicates):
+    built = []
+
+    def counting(seed, *key):
+        built.append(key)
+        return _replicate_rng(seed, *key)
+
+    monkeypatch.setattr(sampler, "_replicate_rng", counting)
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(20)
+    labels = sample_partition(20, PARAMS, replicates, 6, eta=eta)
+    assert labels.shape == (replicates, 20)
+    chunks = range(-(-replicates // 256))
+    assert [key for key in built if len(key) == 1] == [(c,) for c in chunks]
+    assert [key for key in built if len(key) == 2] == [(c, 1) for c in chunks]
+    assert len(built) == 2 * len(chunks)
 
 
 # ---------------------------------------------------------------------------

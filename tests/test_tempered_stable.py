@@ -48,6 +48,17 @@ def test_params_validation():
     assert p.tilt_rate == pytest.approx(0.5 * 81.0, rel=1e-15)
 
 
+def test_params_reject_an_infinite_tilt_product():
+    # delta and gamma are finite, but delta * gamma overflows; the samplers
+    # and laplace_exponent would fail untyped or return nan there
+    with pytest.raises(ValueError, match="delta \\* gamma must be finite"):
+        GGParams(0.5, 1e200, 1e200)
+    with pytest.raises(ValueError, match="delta \\* gamma must be finite"):
+        GGParams(0.3, 1e300, 1e10)
+    p = GGParams(0.5, 1e154, 1e154)  # the largest products stay allowed
+    assert math.isfinite(p.delta * p.gamma)
+
+
 # ---------------------------------------------------------------------------
 # stable density
 
