@@ -27,7 +27,10 @@ stable density:
              (2 delta^(1/alpha) / alpha) s^(-1/alpha - 1),
 
 whose closed form at alpha = 1/2, gamma = 1 is the oracle
-pktilt.oracle.diversity_density_half.
+pktilt.oracle.diversity_density_half. _log_diversity_density evaluates a
+whole grid of s in one array pass, the stable series included (one call of
+pktilt.tempered_stable._stable_series); diversity_density is its one-point
+case, and CLI diversity passes its grid in one call.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tempered_stable import _SQRT_2PI, GGParams, stable_density_series
+from .specfun import CancellationError
+from .tempered_stable import _SQRT_2PI, GGParams, _stable_series
 from .eppf import _LN2, EtaMemo, _log_vnk_prefactor, _memo_for
 
 __all__ = [
@@ -115,25 +119,45 @@ def diversity_density(params: GGParams, s: float) -> float:
     scale, so no factor overflows at large delta gamma. For alpha != 1/2
     large s maps to the small-t region where the stable series cancels, so
     the call raises CancellationError outside the reliable region instead of
-    returning noise; alpha = 1/2 has full-domain closed forms.
+    returning noise; alpha = 1/2 has full-domain closed forms. This is the
+    one-point case of _log_diversity_density.
     """
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
-    return math.exp(_log_diversity_density(params, s))
+    log_f, failed = _log_diversity_density(params, np.array([s], dtype=float))
+    if failed:
+        raise CancellationError(failed[0])
+    return math.exp(log_f[0])
 
 
-def _log_diversity_density(params: GGParams, s: float) -> float:
-    """log f_S(s) at s > 0 as tilt + log Jacobian + log stable density;
-    -inf where the stable density underflows to 0."""
+@np.errstate(all="ignore")
+def _log_diversity_density(params: GGParams, s: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """log f_S at every point of a 1-D array s > 0, as tilt + log Jacobian +
+    log stable density, in one pass of the stable series over the grid.
+
+    Returns the logs, -inf where the density underflows to 0 and nan where
+    the series failed, and the CancellationError message of each failed
+    point, by index into s.
+    """
     alpha, delta, gamma = params.alpha, params.delta, params.gamma
-    log_t = _LN2 + (math.log(delta) - math.log(s)) / alpha
-    tilt = delta * gamma - (delta * gamma / s) ** (1.0 / alpha)
-    log_jac = log_t - math.log(alpha * s)
+    s = np.asarray(s, dtype=float)
+    log_t = _LN2 + (math.log(delta) - np.array([math.log(v) for v in s.tolist()])) / alpha
+    # (delta gamma / s)^(1/alpha) saturates to inf, and the tilt to -inf,
+    # where it leaves the float range
+    tilt = delta * gamma - np.power(delta * gamma / s, 1.0 / alpha)
+    log_jac = log_t - np.log(alpha * s)
+    failed: dict[int, str] = {}
     if alpha == 0.5:
         # log of stable_density_half at t = 2 delta^2 / s^2, where
         # delta^2 / (2 t) = s^2 / 4
         log_f = math.log(delta / _SQRT_2PI) - 1.5 * log_t - 0.25 * s * s
     else:
-        f = stable_density_series(alpha, delta, math.exp(log_t))
-        log_f = math.log(f) if f > 0.0 else -math.inf
-    return tilt + log_jac + log_f
+        # t by math.log and math.exp: NumPy's SIMD log and exp may round the
+        # last bit otherwise, and near the cancellation edge the series turns
+        # that bit into ~1e-9 of the density
+        t = np.exp(log_t)
+        fits = log_t < 709.0
+        t[fits] = [math.exp(v) for v in log_t[fits].tolist()]
+        f, failed = _stable_series(alpha, delta, t)
+        log_f = np.log(f)
+    return tilt + log_jac + log_f, failed

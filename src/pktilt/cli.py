@@ -31,7 +31,8 @@ from .specfun import (
 )
 from .tempered_stable import SERIES_CANCELLATION_GUARD, SERIES_TERM_TOLERANCE, GGParams
 from .eppf import Composition, EtaMemo, log_eppf, predictive
-from .blocks import _log_diversity_density, blocks_pmf, diversity_density
+# diversity_density is not called here; benchmarks/tracing.py wraps it under this name
+from .blocks import _log_diversity_density, blocks_pmf, diversity_density  # noqa: F401
 from .oracle import MAX_ENUMERATION_N, enumerate_set_partitions, exact_blocks_pmf
 from .sampler import monte_carlo_blocks, sample_partition
 
@@ -63,7 +64,7 @@ def _parse_s_values(args) -> list[float]:
         if count < 2 or not (0.0 < lo < hi):
             raise argparse.ArgumentTypeError(f"bad s grid {args.s_grid!r}")
         vals = np.linspace(lo, hi, count).tolist()
-    if any(v <= 0 for v in vals):
+    if not all(v > 0 for v in vals):  # nan included
         raise argparse.ArgumentTypeError("s values must be positive")
     return vals
 
@@ -125,6 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+# main's parser, built on first use and kept for the process (not at import,
+# which a library caller of pktilt.cli would pay for); parse_args returns a
+# fresh namespace per call, so no state crosses requests
+_PARSER: argparse.ArgumentParser | None = None
 
 
 def _envelope(
@@ -289,17 +296,14 @@ def cmd_blocks(args, params: GGParams, spec: QuadratureSpec):
 
 def cmd_diversity(args, params: GGParams, spec: QuadratureSpec):
     s_values = _parse_s_values(args)
-    densities: list[float | None] = []
-    log_densities: list[float | None] = []
-    for s in s_values:
-        try:
-            d = diversity_density(params, s)
-            # a density outside the float range keeps its log
-            ld = math.log(d) if 0.0 < d < math.inf else _log_diversity_density(params, s)
-        except CancellationError:
-            d = ld = None
-        densities.append(d)
-        log_densities.append(None if ld == -math.inf else ld)
+    log_d, failed = _log_diversity_density(params, np.array(s_values))
+    with np.errstate(over="ignore"):
+        dens = np.exp(log_d).tolist()
+    densities = [None if i in failed else d for i, d in enumerate(dens)]
+    # a density outside the float range keeps its log
+    log_densities = [
+        None if i in failed or ld == -math.inf else ld for i, ld in enumerate(log_d.tolist())
+    ]
     notes = ["" if d is not None else "outside reliable region" for d in densities]
     payload = {
         "s": s_values,
@@ -309,10 +313,9 @@ def cmd_diversity(args, params: GGParams, spec: QuadratureSpec):
     }
     if params.alpha == 0.5:
         # full-domain closed form available: certify the density integrates to 1
-        def log_f(s_arr: np.ndarray) -> np.ndarray:
-            return np.array([_log_diversity_density(params, s) for s in s_arr.tolist()])
-
-        integral = integrate_decaying(log_f, 0.0, spec).value
+        integral = integrate_decaying(
+            lambda s: _log_diversity_density(params, s)[0], 0.0, spec
+        ).value
         payload["integral"] = integral
         checks = [_check("integral_residual", abs(integral - 1.0), 1e-8)]
     else:
@@ -325,7 +328,7 @@ def cmd_diversity(args, params: GGParams, spec: QuadratureSpec):
     header = "s,density,log_density"
     rows = [
         f"{s!r},{'' if d is None else repr(d)},{'' if ld is None else repr(ld)}"
-        for s, d, ld in zip(s_values, densities, payload["log_density"])
+        for s, d, ld in zip(s_values, densities, log_densities)
     ]
     return payload, checks, _csv(header, rows)
 
@@ -430,7 +433,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     try:
         params = GGParams(alpha=args.alpha, delta=args.delta, gamma=args.gamma)

@@ -54,6 +54,9 @@ __all__ = [
 _CHAIN_CELLS = 2**22
 # replicates per generator; part of the stream's definition
 _CHUNK = 256
+# steps of seating uniforms drawn at once; successive draws join up to the
+# same stream, so this bounds memory without changing it
+_SEAT_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,9 @@ def _block_counts(
     column]; when one chunk's n x _CHUNK uniforms exceed _CHAIN_CELLS, its
     steps are drawn in slabs, which successive random calls on its
     generator join up to exactly random((n, _CHUNK)). If opens, a bool
-    array of shape (chunks, n, _CHUNK), is given, opens[c, i] records which
-    columns of chunk c open a block at step i >= 1.
+    array of shape (chunks, n, w), w <= _CHUNK, is given, opens[c, i]
+    records which of the first w columns of chunk c open a block at step
+    i >= 1.
     """
     chunks = _chunks(n, replicates)
     eta = _memo_for(params, eta)
@@ -123,7 +127,7 @@ def _block_counts(
                 new = u[:, i - s0] < _new_block_prob(eta, i, kb)
                 kb += new
                 if ob is not None:
-                    ob[:, i] = new
+                    ob[:, i] = new[:, :ob.shape[2]]
     return k.ravel()[:replicates], eta
 
 
@@ -142,11 +146,13 @@ def sample_partition(
     and a new block takes the next label. Its block count is the K_n of the
     same replicate in monte_carlo_blocks and empirical_diversity. eta, a
     memo for the same params, serves the eta table; by default a fresh memo
-    at the default quadrature tolerance. Each chunk's seating pass holds
-    O(n * _CHUNK) temporaries, and seats only the columns the run returns.
+    at the default quadrature tolerance. Only the columns the run returns
+    are recorded and seated: a chunk of m of them holds O(n * m)
+    temporaries, and draws its seating uniforms _SEAT_STEPS steps at a time.
     """
     chunks = _chunks(n, replicates)
-    opens = np.ones((chunks, n, _CHUNK), dtype=bool)  # step 0 opens; the chain fills the rest
+    # step 0 opens; the chain fills the rest
+    opens = np.ones((chunks, n, min(replicates, _CHUNK)), dtype=bool)
     _block_counts(n, params, replicates, seed, eta, opens)
     i = np.arange(n)[:, None]
     labels = np.empty((replicates, n), dtype=np.int64)
@@ -154,7 +160,10 @@ def sample_partition(
         rows = labels[c * _CHUNK:(c + 1) * _CHUNK]
         m = len(rows)  # only the columns the run returns are seated
         o = o[:, :m]
-        v = _replicate_rng(seed, c, 1).random((n, 2, _CHUNK))[:, :, :m]
+        # random((n, 2, _CHUNK)) in slabs of steps, keeping the m columns seated
+        g, v = _replicate_rng(seed, c, 1), np.empty((n, 2, m))
+        for s0 in range(0, n, _SEAT_STEPS):
+            v[s0:s0 + _SEAT_STEPS] = g.random((min(_SEAT_STEPS, n - s0), 2, _CHUNK))[:, :, :m]
         cols = np.arange(m)  # element i of column j sits at flat index i * m + j
         k = np.cumsum(o, axis=0) - o  # blocks before element i
         joiners = i - k  # earlier elements that opened no block

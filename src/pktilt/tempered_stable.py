@@ -13,6 +13,10 @@ Conventions used throughout the package:
     cross-check oracle. The eta integrals of pktilt.eppf are quadrature at every alpha
     (closed form at gamma = 0).
 
+At other alpha the stable density is an alternating series. _stable_series
+sums it over a whole array of t in one array pass, building its xi tables
+once per call; stable_density_series is its one-point case.
+
 Samplers: sample_stable draws the untilted law by Kanter's construction.
 sample_tempered splits T into the number of pieces that minimises the
 expected proposals and accepts stable proposals for each piece by rejection,
@@ -106,59 +110,116 @@ def stable_density_series(alpha: float, delta: float, t: float) -> float:
     falls below SERIES_TERM_TOLERANCE times the running sum. If the largest
     intermediate term exceeds SERIES_CANCELLATION_GUARD times the final sum
     (about 6 decimal digits lost) a CancellationError is raised rather than
-    returning digits of noise.
+    returning digits of noise. This is the one-point case of _stable_series.
     """
     _validate_alpha_delta(alpha, delta)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
+    f, failed = _stable_series(alpha, delta, np.array([t], dtype=float))
+    if failed:
+        raise CancellationError(failed[0])
+    return float(f[0])
 
-    logx = math.log(t) - math.log(delta) / alpha
-    terms: list[float] = []
-    run = 0.0
-    max_mag = 0.0
-    prev_env = math.inf
-    nonzero = 0
-    converged = False
-    for xi in range(1, SERIES_MAX_TERMS + 1):
-        # sin(pi alpha xi) with argument reduction: exact zeros whenever
-        # alpha xi lands on an integer (every even xi at alpha = 1/2)
-        m = alpha * xi
-        frac = m - math.floor(m)
-        s = math.sin(math.pi * frac) * (1.0 if math.floor(m) % 2 == 0 else -1.0)
-        if s == 0.0:
-            continue
-        # the stop test reads the envelope, the term without its sine: where
-        # alpha xi is an integer only up to rounding, the sine is ~1e-14 and
-        # the term looks negligible while the sum is unfinished
-        log_env = math.lgamma(xi * alpha + 1.0) - math.lgamma(xi + 1.0) \
-            + (xi * alpha + 1.0) * (math.log(2.0) - logx)
-        if log_env > 700.0:
-            raise CancellationError(
-                f"series term overflows at xi={xi}; t={t} is outside the reliable region"
-            )
-        env = math.exp(log_env)
-        term = (s if xi % 2 == 1 else -s) * env
-        terms.append(term)
-        run += term
-        nonzero += 1
-        max_mag = max(max_mag, abs(term))
-        if nonzero >= 3 and env <= SERIES_TERM_TOLERANCE * max(abs(run), 1e-300) and env <= prev_env:
-            converged = True
-            break
-        prev_env = env
-    if not converged:
-        raise CancellationError(
-            f"series did not reach term tolerance within {SERIES_MAX_TERMS} terms at t={t}"
-        )
-    total = math.fsum(terms)
-    if max_mag == 0.0:
-        return 0.0
-    if total <= 0.0 or max_mag > SERIES_CANCELLATION_GUARD * total:
-        raise CancellationError(
-            f"series cancellation beyond guard at t={t}: "
-            f"max term {max_mag:.3e} vs sum {total:.3e}"
-        )
-    return total * delta ** (-1.0 / alpha) / (2.0 * math.pi)
+
+# points per row block of _stable_series, and its first column width
+_SERIES_ROWS = 256
+_SERIES_FIRST_WIDTH = 16
+
+
+@np.errstate(all="ignore")
+def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """The series of stable_density_series at every point of a 1-D array t > 0.
+
+    Returns the densities, nan where a point failed, and why each failed
+    point failed, by index into t: the CancellationError message
+    stable_density_series raises. The xi tables (signed sines with the zero
+    sines dropped, xi alpha + 1, and the log Gamma ratios) are built once
+    per call; each block of _SERIES_ROWS points forms its (points x terms)
+    envelope and term matrices from them, with running sums by np.cumsum.
+    A point stops at its first term j >= 3 whose envelope is at most
+    SERIES_TERM_TOLERANCE max(|running sum|, 1e-300) and at most the
+    previous term's, unless an envelope overflows (log > 700) first. The
+    matrices start _SERIES_FIRST_WIDTH terms wide and grow fourfold, up to
+    SERIES_MAX_TERMS, for the points not yet resolved.
+    """
+    tol, guard = SERIES_TERM_TOLERANCE, SERIES_CANCELLATION_GUARD
+    xi = np.arange(1, SERIES_MAX_TERMS + 1)
+    m = alpha * xi
+    fl = np.floor(m)
+    # sin(pi alpha xi) with argument reduction: exact zeros whenever alpha xi
+    # lands on an integer (every even xi at alpha = 1/2); these terms drop out
+    sine = np.sin(math.pi * (m - fl))
+    keep = sine != 0.0
+    xi = xi[keep]
+    # the term's sign: (-1)^floor(alpha xi) from the reduction, (-1)^(xi-1)
+    signed = np.where((fl[keep] + xi) % 2 == 1, sine[keep], -sine[keep])
+    a1 = xi * alpha + 1.0
+    # lgamma(xi alpha + 1) - lgamma(xi + 1), filled in as the width grows
+    lg, have = np.empty(xi.size), 0
+    # math.log: NumPy's SIMD log may round the last bit otherwise, which the
+    # sum amplifies near the cancellation edge; a t that underflowed to 0
+    # overflows at xi = 1
+    log_t = np.array([math.log(v) if v > 0.0 else -math.inf for v in t.tolist()])
+    log_2x = math.log(2.0) - (log_t - math.log(delta) / alpha)
+    out = np.full(t.shape, np.nan)
+    failed: dict[int, str] = {}
+    for lo in range(0, t.size, _SERIES_ROWS):
+        todo = np.arange(lo, min(lo + _SERIES_ROWS, t.size))
+        width = 0
+        while todo.size:
+            width = min(max(4 * width, _SERIES_FIRST_WIDTH), xi.size)
+            if have < width:
+                lg[have:width] = [
+                    math.lgamma(a) - math.lgamma(x + 1.0)
+                    for a, x in zip(a1[have:width].tolist(), xi[have:width].tolist())
+                ]
+                have = width
+            # the stop test reads the envelope, the term without its sine:
+            # where alpha xi is an integer only up to rounding, the sine is
+            # ~1e-14 and the term looks negligible while the sum is unfinished
+            log_env = lg[:width] + a1[:width] * log_2x[todo, None]
+            env = np.exp(log_env)
+            term = signed[:width] * env
+            run = np.cumsum(term, axis=1)
+            stop = env <= tol * np.maximum(np.abs(run), 1e-300)
+            stop[:, 1:] &= env[:, 1:] <= env[:, :-1]
+            stop[:, :2] = False
+            over = log_env > 700.0
+            first_stop = np.where(stop.any(axis=1), stop.argmax(axis=1), width)
+            first_over = np.where(over.any(axis=1), over.argmax(axis=1), width)
+            done = (np.minimum(first_stop, first_over) < width) | (width == xi.size)
+            for r in np.flatnonzero(done).tolist():
+                i, js, jo = int(todo[r]), int(first_stop[r]), int(first_over[r])
+                ti = float(t[i])
+                if jo < width and jo <= js:
+                    failed[i] = (
+                        f"series term overflows at xi={int(xi[jo])}; t={ti} is outside the reliable region"
+                    )
+                    continue
+                if js == width:
+                    failed[i] = (
+                        f"series did not reach term tolerance within {SERIES_MAX_TERMS} terms at t={ti}"
+                    )
+                    continue
+                # the sum and the guard read terms from math.exp: NumPy's SIMD
+                # exp may round the last bit otherwise, which the sum amplifies
+                # near the cancellation edge, and where the guard fires its
+                # message prints digits of rounding noise
+                env_r = [math.exp(v) for v in log_env[r, :js + 1].tolist()]
+                terms = signed[:js + 1] * np.array(env_r)
+                max_mag = float(np.abs(terms).max())
+                total = math.fsum(terms.tolist())
+                if max_mag == 0.0:
+                    out[i] = 0.0
+                elif total <= 0.0 or max_mag > guard * total:
+                    failed[i] = (
+                        f"series cancellation beyond guard at t={ti}: "
+                        f"max term {max_mag:.3e} vs sum {total:.3e}"
+                    )
+                else:
+                    out[i] = total * delta ** (-1.0 / alpha) / (2.0 * math.pi)
+            todo = todo[~done]
+    return out, failed
 
 
 def stable_density_half(delta: float, t: float) -> float:

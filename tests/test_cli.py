@@ -8,16 +8,26 @@ variable.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from pktilt import cli
-from pktilt.blocks import _log_diversity_density, blocks_pmf
+from pktilt.blocks import _log_diversity_density, blocks_pmf, diversity_density
 from pktilt.cli import main
 from pktilt.sampler import McReport, monte_carlo_blocks
 from pktilt.tempered_stable import GGParams
 
 BASE = ["--alpha", "0.5", "--delta", "1.0", "--gamma", "1.0"]
+
+
+def log_density_at(params, s):
+    log_d, failed = _log_diversity_density(params, np.array([s]))
+    assert failed == {}
+    return float(log_d[0])
 
 
 def run_json(capsys, argv):
@@ -116,7 +126,7 @@ def test_diversity_underflowed_density(capsys):
     # still reported
     argv = ["diversity", "--alpha", "0.25", "--delta", "1", "--gamma", "1",
             "--s-grid", "0.1:6:60"]
-    log_d = _log_diversity_density(GGParams(0.25, 1.0, 1.0), 0.1)
+    log_d = log_density_at(GGParams(0.25, 1.0, 1.0), 0.1)
     assert -1e4 < log_d < -745.0
     code, doc = run_json(capsys, argv)
     assert code == 0
@@ -129,7 +139,7 @@ def test_diversity_underflowed_density(capsys):
 def test_diversity_log_density_beyond_float_range(capsys):
     # at delta gamma = 1e6 the density at s = 1 is e^(-999999000000.82)
     argv = ["diversity", "--alpha", "0.5", "--delta", "1e6", "--gamma", "1", "--s", "1"]
-    log_d = _log_diversity_density(GGParams(0.5, 1e6, 1.0), 1.0)
+    log_d = log_density_at(GGParams(0.5, 1e6, 1.0), 1.0)
     assert log_d == pytest.approx(-999999000000.82, abs=0.01)
     code, doc = run_json(capsys, argv)
     assert code == 0
@@ -163,6 +173,59 @@ def test_diversity_generic_alpha_degrades_honestly(capsys):
     assert doc["density"][0] is not None and doc["density"][0] > 0.0
     skip = [c for c in doc["self_checks"] if c["name"] == "integral_residual"]
     assert skip and "skipped" in skip[0]
+
+
+@pytest.mark.parametrize("alpha, first_null", [("0.3", 15), ("0.5", 18), ("0.75", 5), ("0.9", 3)])
+def test_diversity_grid_nulls_and_notes(alpha, first_null, capsys):
+    # one array pass over the grid keeps the per-point outcome: the series
+    # cancels from first_null on, and those points alone are null
+    argv = ["diversity", "--alpha", alpha, "--delta", "1", "--gamma", "1", "--s-grid", "0.5:9:18"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["passed"] is True
+    null = [i >= first_null for i in range(18)]
+    assert [d is None for d in doc["density"]] == null
+    assert [d is None for d in doc["log_density"]] == null
+    assert doc["notes"] == ["outside reliable region" if x else "" for x in null]
+    assert all(d > 0.0 for d in doc["density"][:first_null])
+
+
+def test_diversity_tilt_beyond_float_range(capsys):
+    # (delta gamma / s)^(1/alpha) = (5e7)^50 overflows: the density is 0.0
+    # and its log is -inf, reported as null
+    assert diversity_density(GGParams(0.02, 1e6, 50.0), 1.0) == 0.0
+    argv = ["diversity", "--alpha", "0.02", "--delta", "1e6", "--gamma", "50", "--s", "1"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["density"] == [0.0] and doc["log_density"] == [None] and doc["notes"] == [""]
+
+
+def test_requests_in_one_process_match_requests_one_at_a_time(tmp_path):
+    # main parses with one parser per process; a request that exits 2 leaves
+    # nothing behind for the next one
+    requests = [
+        ["eppf", *BASE, "--composition", "3,2,1"],
+        ["blocks", *BASE, "--n", "0"],
+        ["diversity", "--alpha", "0.75", "--delta", "1", "--gamma", "1", "--s-grid", "0.5:9:18"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for j, argv in enumerate(requests):
+        out = tmp_path / f"alone{j}.json"
+        code = subprocess.run(
+            [sys.executable, "-c", "import sys; from pktilt.cli import main; sys.exit(main())",
+             *argv, "--out", str(out)],
+            env=env, capture_output=True,
+        ).returncode
+        assert code == (2 if j == 1 else 0)
+    codes = []
+    for j, argv in enumerate(requests):
+        try:
+            codes.append(main([*argv, "--out", str(tmp_path / f"shared{j}.json")]))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    assert codes == [0, 2, 0]
+    for j in (0, 2):
+        assert (tmp_path / f"shared{j}.json").read_text() == (tmp_path / f"alone{j}.json").read_text()
+    assert not (tmp_path / "shared1.json").exists() and not (tmp_path / "alone1.json").exists()
 
 
 def test_sample_json_deterministic(capsys):

@@ -10,6 +10,7 @@ partitions at all.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -203,6 +204,24 @@ def test_partition_blocking_does_not_change_labels(monkeypatch):
     whole = sample_partition(20, PARAMS, 600, 3, eta=eta)
     monkeypatch.setattr(sampler, "_CHAIN_CELLS", 7 * 256 + 3)
     assert np.array_equal(sample_partition(20, PARAMS, 600, 3, eta=eta), whole)
+    # seating uniforms in slabs of 7, 7 and 6 steps join up to the same stream
+    monkeypatch.setattr(sampler, "_SEAT_STEPS", 7)
+    assert np.array_equal(sample_partition(20, PARAMS, 600, 3, eta=eta), whole)
+
+
+def test_partition_memory_at_one_replicate():
+    # one replicate records and seats one column: the chain's n x 256
+    # uniforms are the peak, not the seating uniforms, 2 x n x 256 of them
+    n = 2000
+    eta = EtaMemo(PARAMS)
+    eta.ensure_rows(n)
+    tracemalloc.start()
+    try:
+        sample_partition(n, PARAMS, 1, 5, eta=eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * sampler._CHUNK * 8
 
 
 def test_partition_labels_independent_of_replicate_count():

@@ -139,6 +139,66 @@ def test_series_does_not_stop_on_a_rounded_zero():
     assert got == pytest.approx(ref, rel=1e-8)
 
 
+def _series_one_point(alpha, delta, t):
+    # the per-point loop the array core replaced, as a reference: the
+    # density, or the CancellationError message
+    logx = math.log(t) - math.log(delta) / alpha
+    terms, run, max_mag, prev_env, nonzero = [], 0.0, 0.0, math.inf, 0
+    for xi in range(1, ts.SERIES_MAX_TERMS + 1):
+        m = alpha * xi
+        s = math.sin(math.pi * (m - math.floor(m))) * (1.0 if math.floor(m) % 2 == 0 else -1.0)
+        if s == 0.0:
+            continue
+        log_env = math.lgamma(xi * alpha + 1.0) - math.lgamma(xi + 1.0) \
+            + (xi * alpha + 1.0) * (math.log(2.0) - logx)
+        if log_env > 700.0:
+            return f"series term overflows at xi={xi}; t={t} is outside the reliable region"
+        env = math.exp(log_env)
+        term = (s if xi % 2 == 1 else -s) * env
+        terms.append(term)
+        run += term
+        nonzero += 1
+        max_mag = max(max_mag, abs(term))
+        if nonzero >= 3 and env <= ts.SERIES_TERM_TOLERANCE * max(abs(run), 1e-300) and env <= prev_env:
+            break
+        prev_env = env
+    else:
+        return f"series did not reach term tolerance within {ts.SERIES_MAX_TERMS} terms at t={t}"
+    total = math.fsum(terms)
+    if max_mag == 0.0:
+        return 0.0
+    if total <= 0.0 or max_mag > ts.SERIES_CANCELLATION_GUARD * total:
+        return (f"series cancellation beyond guard at t={t}: "
+                f"max term {max_mag:.3e} vs sum {total:.3e}")
+    return total * delta ** (-1.0 / alpha) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("alpha", [0.15, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 0.95])
+def test_series_array_core_matches_one_point_loop(alpha):
+    # the same failed points with the same messages, and the same values
+    # within the bound of test_series_matches_half_closed_form
+    t = np.geomspace(0.05, 200.0, 60)
+    for delta in (0.3, 1.0, 3.0):
+        values, failed = ts._stable_series(alpha, delta, t)
+        ref = [_series_one_point(alpha, delta, ti) for ti in t.tolist()]
+        assert failed == {i: r for i, r in enumerate(ref) if isinstance(r, str)}
+        assert np.isnan(values[list(failed)]).all()
+        for i, r in enumerate(ref):
+            if i not in failed:
+                assert values[i] == pytest.approx(r, rel=1e-8, abs=0.0), (delta, t[i])
+
+
+def test_series_array_core_blocks_rows_and_grows_columns(monkeypatch):
+    # row blocks and the column widths leave every point as it is
+    t = np.geomspace(0.05, 200.0, 60)
+    whole = ts._stable_series(0.7, 1.0, t)
+    monkeypatch.setattr(ts, "_SERIES_ROWS", 7)
+    monkeypatch.setattr(ts, "_SERIES_FIRST_WIDTH", 1)
+    values, failed = ts._stable_series(0.7, 1.0, t)
+    assert failed == whole[1]
+    assert np.array_equal(values, whole[0], equal_nan=True)
+
+
 @pytest.mark.parametrize("alpha", [0.4, 0.55, 0.6, 0.7, 0.75])
 def test_series_density_normalizes_over_reliable_region(alpha):
     # integrate the series density from a cut t0 where the untouched left
