@@ -121,9 +121,8 @@ def stable_density_series(alpha: float, delta: float, t: float) -> float:
     return float(f[0])
 
 
-# points per row block of _stable_series, and its first column width
+# points per row block of _stable_series: bounds its matrices on large grids
 _SERIES_ROWS = 256
-_SERIES_FIRST_WIDTH = 16
 
 
 @np.errstate(all="ignore")
@@ -134,13 +133,11 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
     point failed, by index into t: the CancellationError message
     stable_density_series raises. The xi tables (signed sines with the zero
     sines dropped, xi alpha + 1, and the log Gamma ratios) are built once
-    per call; each block of _SERIES_ROWS points forms its (points x terms)
-    envelope and term matrices from them, with running sums by np.cumsum.
-    A point stops at its first term j >= 3 whose envelope is at most
-    SERIES_TERM_TOLERANCE max(|running sum|, 1e-300) and at most the
-    previous term's, unless an envelope overflows (log > 700) first. The
-    matrices start _SERIES_FIRST_WIDTH terms wide and grow fourfold, up to
-    SERIES_MAX_TERMS, for the points not yet resolved.
+    per call, SERIES_MAX_TERMS wide; each block of _SERIES_ROWS points forms
+    its (points x terms) envelope and term matrices from them, with running
+    sums by np.cumsum. A point stops at its first term j >= 3 whose envelope
+    is at most SERIES_TERM_TOLERANCE max(|running sum|, 1e-300) and at most
+    the previous term's, unless an envelope overflows (log > 700) first.
     """
     tol, guard = SERIES_TERM_TOLERANCE, SERIES_CANCELLATION_GUARD
     xi = np.arange(1, SERIES_MAX_TERMS + 1)
@@ -154,8 +151,7 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
     # the term's sign: (-1)^floor(alpha xi) from the reduction, (-1)^(xi-1)
     signed = np.where((fl[keep] + xi) % 2 == 1, sine[keep], -sine[keep])
     a1 = xi * alpha + 1.0
-    # lgamma(xi alpha + 1) - lgamma(xi + 1), filled in as the width grows
-    lg, have = np.empty(xi.size), 0
+    lg = np.array([math.lgamma(a) - math.lgamma(x + 1.0) for a, x in zip(a1.tolist(), xi.tolist())])
     # math.log: NumPy's SIMD log may round the last bit otherwise, which the
     # sum amplifies near the cancellation edge; a t that underflowed to 0
     # overflows at xi = 1
@@ -163,62 +159,47 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
     log_2x = math.log(2.0) - (log_t - math.log(delta) / alpha)
     out = np.full(t.shape, np.nan)
     failed: dict[int, str] = {}
+    width = xi.size
     for lo in range(0, t.size, _SERIES_ROWS):
-        todo = np.arange(lo, min(lo + _SERIES_ROWS, t.size))
-        width = 0
-        while todo.size:
-            width = min(max(4 * width, _SERIES_FIRST_WIDTH), xi.size)
-            if have < width:
-                lg[have:width] = [
-                    math.lgamma(a) - math.lgamma(x + 1.0)
-                    for a, x in zip(a1[have:width].tolist(), xi[have:width].tolist())
-                ]
-                have = width
-            # the stop test reads the envelope, the term without its sine:
-            # where alpha xi is an integer only up to rounding, the sine is
-            # ~1e-14 and the term looks negligible while the sum is unfinished
-            log_env = lg[:width] + a1[:width] * log_2x[todo, None]
-            env = np.exp(log_env)
-            term = signed[:width] * env
-            run = np.cumsum(term, axis=1)
-            stop = env <= tol * np.maximum(np.abs(run), 1e-300)
-            stop[:, 1:] &= env[:, 1:] <= env[:, :-1]
-            stop[:, :2] = False
-            over = log_env > 700.0
-            first_stop = np.where(stop.any(axis=1), stop.argmax(axis=1), width)
-            first_over = np.where(over.any(axis=1), over.argmax(axis=1), width)
-            done = (np.minimum(first_stop, first_over) < width) | (width == xi.size)
-            for r in np.flatnonzero(done).tolist():
-                i, js, jo = int(todo[r]), int(first_stop[r]), int(first_over[r])
-                ti = float(t[i])
-                if jo < width and jo <= js:
-                    failed[i] = (
-                        f"series term overflows at xi={int(xi[jo])}; t={ti} is outside the reliable region"
-                    )
-                    continue
-                if js == width:
-                    failed[i] = (
-                        f"series did not reach term tolerance within {SERIES_MAX_TERMS} terms at t={ti}"
-                    )
-                    continue
-                # the sum and the guard read terms from math.exp: NumPy's SIMD
-                # exp may round the last bit otherwise, which the sum amplifies
-                # near the cancellation edge, and where the guard fires its
-                # message prints digits of rounding noise
-                env_r = [math.exp(v) for v in log_env[r, :js + 1].tolist()]
-                terms = signed[:js + 1] * np.array(env_r)
-                max_mag = float(np.abs(terms).max())
-                total = math.fsum(terms.tolist())
-                if max_mag == 0.0:
-                    out[i] = 0.0
-                elif total <= 0.0 or max_mag > guard * total:
-                    failed[i] = (
-                        f"series cancellation beyond guard at t={ti}: "
-                        f"max term {max_mag:.3e} vs sum {total:.3e}"
-                    )
-                else:
-                    out[i] = total * delta ** (-1.0 / alpha) / (2.0 * math.pi)
-            todo = todo[~done]
+        rows = range(lo, min(lo + _SERIES_ROWS, t.size))
+        # the stop test reads the envelope, the term without its sine: where
+        # alpha xi is an integer only up to rounding, the sine is ~1e-14 and
+        # the term looks negligible while the sum is unfinished
+        log_env = lg + a1 * log_2x[lo:rows.stop, None]
+        # below -746 exp is exactly 0; skipping those cells skips NumPy's
+        # slow underflow path
+        env = np.exp(log_env, out=np.zeros_like(log_env), where=log_env > -746.0)
+        run = np.cumsum(signed * env, axis=1)
+        stop = env <= tol * np.maximum(np.abs(run), 1e-300)
+        stop[:, 1:] &= env[:, 1:] <= env[:, :-1]
+        stop[:, :2] = False
+        over = log_env > 700.0
+        first_stop = np.where(stop.any(axis=1), stop.argmax(axis=1), width).tolist()
+        first_over = np.where(over.any(axis=1), over.argmax(axis=1), width).tolist()
+        for r, i in enumerate(rows):
+            js, jo, ti = first_stop[r], first_over[r], float(t[i])
+            if jo < width and jo <= js:
+                failed[i] = f"series term overflows at xi={int(xi[jo])}; t={ti} is outside the reliable region"
+                continue
+            if js == width:
+                failed[i] = f"series did not reach term tolerance within {SERIES_MAX_TERMS} terms at t={ti}"
+                continue
+            # the sum and the guard read terms from math.exp: NumPy's SIMD exp
+            # may round the last bit otherwise, which the sum amplifies near
+            # the cancellation edge, and where the guard fires its message
+            # prints digits of rounding noise
+            terms = signed[:js + 1] * np.array([math.exp(v) for v in log_env[r, :js + 1].tolist()])
+            max_mag = float(np.abs(terms).max())
+            total = math.fsum(terms.tolist())
+            if max_mag == 0.0:
+                out[i] = 0.0
+            elif total <= 0.0 or max_mag > guard * total:
+                failed[i] = (
+                    f"series cancellation beyond guard at t={ti}: "
+                    f"max term {max_mag:.3e} vs sum {total:.3e}"
+                )
+            else:
+                out[i] = total * delta ** (-1.0 / alpha) / (2.0 * math.pi)
     return out, failed
 
 

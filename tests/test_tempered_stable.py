@@ -188,12 +188,11 @@ def test_series_array_core_matches_one_point_loop(alpha):
                 assert values[i] == pytest.approx(r, rel=1e-8, abs=0.0), (delta, t[i])
 
 
-def test_series_array_core_blocks_rows_and_grows_columns(monkeypatch):
-    # row blocks and the column widths leave every point as it is
+def test_series_array_core_blocks_rows(monkeypatch):
+    # row blocks leave every point as it is
     t = np.geomspace(0.05, 200.0, 60)
     whole = ts._stable_series(0.7, 1.0, t)
     monkeypatch.setattr(ts, "_SERIES_ROWS", 7)
-    monkeypatch.setattr(ts, "_SERIES_FIRST_WIDTH", 1)
     values, failed = ts._stable_series(0.7, 1.0, t)
     assert failed == whole[1]
     assert np.array_equal(values, whole[0], equal_nan=True)
