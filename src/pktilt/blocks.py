@@ -17,14 +17,13 @@ pktilt.oracle.
 
 K_n / n^alpha converges a.s. to the alpha diversity S = delta 2^alpha T^(-alpha),
 where T is the tilted total mass (the constant delta 2^alpha is the scale of
-the jump measure; it makes the gamma = 0 limit law independent of delta, as
-it must be since the gamma = 0 partition law is). The density of S is the
-change of variables t(s) = 2 delta^(1/alpha) s^(-1/alpha) of the tilted
-stable density:
+the jump measure). Since T = delta^(1/alpha) T~ with T~ the total mass at
+(alpha, 1, beta), beta = delta gamma, S = 2^alpha T~^(-alpha) depends on
+(alpha, beta) only, as the partition law does. Its density is the change of
+variables t(s) = 2 s^(-1/alpha) of the tilted stable density at delta = 1:
 
-    f_S(s) = exp(delta gamma - (delta gamma / s)^(1/alpha))
-             f_stable(2 delta^(1/alpha) s^(-1/alpha))
-             (2 delta^(1/alpha) / alpha) s^(-1/alpha - 1),
+    f_S(s) = exp(beta - (beta / s)^(1/alpha)) f_stable(2 s^(-1/alpha))
+             (2 / alpha) s^(-1/alpha - 1),
 
 whose closed form at alpha = 1/2, gamma = 1 is the oracle
 pktilt.oracle.diversity_density_half. _log_diversity_density evaluates a
@@ -139,18 +138,17 @@ def _log_diversity_density(params: GGParams, s: np.ndarray) -> tuple[np.ndarray,
     the series failed, and the CancellationError message of each failed
     point, by index into s.
     """
-    alpha, delta, gamma = params.alpha, params.delta, params.gamma
+    alpha, beta = params.alpha, params.delta * params.gamma
     s = np.asarray(s, dtype=float)
-    log_t = _LN2 + (math.log(delta) - np.array([math.log(v) for v in s.tolist()])) / alpha
-    # (delta gamma / s)^(1/alpha) saturates to inf, and the tilt to -inf,
-    # where it leaves the float range
-    tilt = delta * gamma - np.power(delta * gamma / s, 1.0 / alpha)
+    log_t = _LN2 - np.array([math.log(v) for v in s.tolist()]) / alpha
+    # (beta / s)^(1/alpha) saturates to inf, and the tilt to -inf, where it
+    # leaves the float range
+    tilt = beta - np.power(beta / s, 1.0 / alpha)
     log_jac = log_t - np.log(alpha * s)
     failed: dict[int, str] = {}
     if alpha == 0.5:
-        # log of stable_density_half at t = 2 delta^2 / s^2, where
-        # delta^2 / (2 t) = s^2 / 4
-        log_f = math.log(delta / _SQRT_2PI) - 1.5 * log_t - 0.25 * s * s
+        # log stable_density_half(1, t) at t = 2 / s^2: 1 / (2 t) = s^2 / 4
+        log_f = -math.log(_SQRT_2PI) - 1.5 * log_t - 0.25 * s * s
     else:
         # t by math.log and math.exp: NumPy's SIMD log and exp may round the
         # last bit otherwise, and near the cancellation edge the series turns
@@ -158,6 +156,6 @@ def _log_diversity_density(params: GGParams, s: np.ndarray) -> tuple[np.ndarray,
         t = np.exp(log_t)
         fits = log_t < 709.0
         t[fits] = [math.exp(v) for v in log_t[fits].tolist()]
-        f, failed = _stable_series(alpha, delta, t)
+        f, failed = _stable_series(alpha, 1.0, t)
         log_f = np.log(f)
     return tilt + log_jac + log_f, failed

@@ -6,22 +6,26 @@ The EPPF has Gibbs form
 
 with
 
-    V_{n,k} = delta^k alpha^k 2^n / Gamma(n) * eta(n, k),
-    eta(n, k) = int_0^inf lam^(n-1) e^(-delta (w^alpha - gamma)) w^(k alpha - n) dlam,
-    w = gamma^(1/alpha) + 2 lam.
+    V_{n,k} = alpha^k 2^n / Gamma(n) * eta(n, k),
+    eta(n, k) = int_0^inf lam^(n-1) e^(-(w^alpha - beta)) w^(k alpha - n) dlam,
+    w = beta^(1/alpha) + 2 lam,  beta = delta gamma.
 
-The tilt factor e^(delta gamma) sits inside eta, so eta(1, 1) = 1 / (2 alpha
-delta) for every gamma, and no stored log eta carries a term -delta gamma
-that would round it to the float spacing of delta gamma.
+The partition law is that of the normalised measure, and the total mass at
+(alpha, delta, gamma) is delta^(1/alpha) times that at (alpha, 1, beta), so
+the law depends on (alpha, beta) only (Lijoi, Mena & Prunster 2007): eta is
+the integral at delta = 1, and delta enters below only through beta.
 
-At gamma = 0 the model is Pitman's PD(alpha, 0) and eta is closed form,
-eta(n, k) = Gamma(k) / (alpha delta^k 2^n); pktilt takes that form whenever
-delta gamma < 1e-290 (_by_quadrature). Otherwise eta is evaluated by
-quadrature after the substitution u = delta w^alpha, over the offset
-x = u - delta gamma in (0, inf), where the integrand decays exponentially.
-Its gap to the closed form shrinks about as delta gamma log(1 / delta gamma),
-so tests check the closed form against the quadrature at
-delta gamma = 1e-14.
+The tilt factor e^beta sits inside eta, so eta(1, 1) = 1 / (2 alpha) for
+every beta, and no stored log eta carries a term -beta that would round it
+to the float spacing of beta.
+
+At beta = 0 the model is Pitman's PD(alpha, 0) and eta is closed form,
+eta(n, k) = Gamma(k) / (alpha 2^n); pktilt takes that form whenever
+beta < 1e-290 (_by_quadrature). Otherwise eta is evaluated by quadrature
+after the substitution u = w^alpha, over the offset x = u - beta in
+(0, inf), where the integrand decays exponentially. Its gap to the closed
+form shrinks about as beta log(1 / beta), so tests check the closed form
+against the quadrature at beta = 1e-14.
 
 In x, every eta(n, k) of a row n has the log-integrand B(x) + k D(x), with
 D increasing (_eta_log_terms). Rows and cells take the one integrator,
@@ -31,20 +35,20 @@ certified on its own. One cell is one integrate_decaying call, the
 one-member family B + k D with its own brackets (_log_eta_cell, the route
 of log_eta, of cells off the memo's rows, and of any k a row pass cannot
 certify).
-At alpha = 1/2, gamma > 0 there is also a finite sum of upper incomplete
-gamma functions (substitution t = delta sqrt(gamma^2 + 2 lam) and a
-binomial expansion). The sum alternates and loses digits as n grows, so it
+At alpha = 1/2, beta > 0 there is also a finite sum of upper incomplete
+gamma functions (substitution t = sqrt(beta^2 + 2 lam) and a binomial
+expansion). The sum alternates and loses digits as n grows, so it
 is kept only as an oracle, log_eta_half_closed, with a cancellation guard.
 
 One-customer predictive weights are eta ratios:
 
     p_j = (2/n) (eta(n+1, k) / eta(n, k)) (n_j - alpha),
-    q   = (2/n) (eta(n+1, k+1) / eta(n, k)) alpha delta.
+    q   = (2/n) (eta(n+1, k+1) / eta(n, k)) alpha.
 
 eta also satisfies an exact downward recurrence (integrate the total
-derivative of lam^n e^(-delta w^alpha) w^(k alpha - n) over (0, inf)):
+derivative of lam^n e^(-w^alpha) w^(k alpha - n) over (0, inf)):
 
-    n eta(n, k) = 2 delta alpha eta(n+1, k+1) + 2 (n - k alpha) eta(n+1, k)
+    n eta(n, k) = 2 alpha eta(n+1, k+1) + 2 (n - k alpha) eta(n+1, k)
 
 whose coefficients are positive for k <= n. EtaMemo.ensure_rows exploits
 it: one top row (closed form or one row quadrature) seeds the whole
@@ -89,11 +93,11 @@ _LN2 = math.log(2.0)
 
 _MAX_DIGIT_LOSS = 6.0
 
-# delta gamma below which eta takes its gamma = 0 form. Above it, the
-# integrand's x / (delta gamma) stays finite for offsets x up to 1e18. Below
-# it, the gap to the closed form is far below float resolution: it shrinks
-# about as delta gamma log(1 / delta gamma), and is 5e-11 in log at
-# delta gamma = 1e-15, n = 3000, alpha = 0.98.
+# beta = delta gamma below which eta takes its gamma = 0 form. Above it, the
+# integrand's x / beta stays finite for offsets x up to 1e18. Below it, the
+# gap to the closed form is far below float resolution: it shrinks about as
+# beta log(1 / beta), and is 5e-11 in log at beta = 1e-15, n = 3000,
+# alpha = 0.98.
 _MIN_QUADRATURE_TILT = 1e-290
 
 
@@ -153,32 +157,30 @@ def _by_quadrature(params: GGParams) -> bool:
 
 
 def _eta_log_terms(n: int, params: GGParams):
-    """The integrand of row n of eta at delta gamma > 0, over the offset
-    x = u - delta gamma in (0, inf): log f_k(x) = B(x) + k D(x), returned as
-    the function x -> (B(x), D(x)).
+    """The integrand of row n of eta at beta > 0, over the offset
+    x = u - beta in (0, inf): log f_k(x) = B(x) + k D(x), returned as the
+    function x -> (B(x), D(x)).
 
-    With s = alpha (log w - log gamma^(1/alpha)) = log1p(x / (delta gamma)),
-    g = log(delta gamma) - log delta and log_norm = log(2 alpha delta) +
-    (n - 1) log 2,
+    With s = alpha (log w - log beta^(1/alpha)) = log1p(x / beta),
+    g = log beta and log_norm = log(2 alpha) + (n - 1) log 2,
 
         D = g + s,
         B = -g - log_norm - x - s + (n - 1) log(1 - e^(-s / alpha)).
 
-    s keeps its digits near the lower limit even when delta gamma is large,
-    lam = (w - gamma^(1/alpha)) / 2 enters in log scale (w overflows at small
+    s keeps its digits near the lower limit even when beta is large,
+    lam = (w - beta^(1/alpha)) / 2 enters in log scale (w overflows at small
     alpha), and the 2^(1-n) of lam^(n-1) is folded into log_norm. The tilt
-    factor e^(delta gamma) of eta cancels e^(-u) at the lower limit exactly,
-    so neither enters in floating point. No term of size (n - 1) s / alpha
+    factor e^beta of eta cancels e^(-u) at the lower limit exactly, so
+    neither enters in floating point. No term of size (n - 1) s / alpha
     is formed: the w^(k alpha - n) of the integrand and the w^(n-1) of
     lam^(n-1) cancel to w^(k alpha - alpha) before rounding.
     """
-    alpha, delta = params.alpha, params.delta
-    u0 = delta * params.gamma
-    g = math.log(u0) - math.log(delta)
-    base0 = -g - math.log(2.0 * alpha * delta) - (n - 1) * _LN2
+    alpha, beta = params.alpha, params.delta * params.gamma
+    g = math.log(beta)
+    base0 = -g - math.log(2.0 * alpha) - (n - 1) * _LN2
 
     def log_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.log1p(x / u0)
+        s = np.log1p(x / beta)
         base = base0 - x - s
         if n > 1:
             with np.errstate(divide="ignore"):
@@ -190,9 +192,8 @@ def _eta_log_terms(n: int, params: GGParams):
 
 def _log_eta_cell(n: int, k: int, params: GGParams, spec: QuadratureSpec) -> float:
     """log eta(n, k): quadrature if _by_quadrature(params), else closed form."""
-    alpha, delta = params.alpha, params.delta
     if not _by_quadrature(params):
-        return math.lgamma(k) - n * _LN2 - k * math.log(delta) - math.log(alpha)
+        return math.lgamma(k) - n * _LN2 - math.log(params.alpha)
     log_terms = _eta_log_terms(n, params)
 
     def log_f(x: np.ndarray) -> np.ndarray:
@@ -213,11 +214,10 @@ def _log_eta_row(n: int, params: GGParams, spec: QuadratureSpec) -> np.ndarray:
     certify is integrated on its own by _log_eta_cell, which raises
     QuadratureError if that fails too.
     """
-    ks = np.arange(1, n + 1)
     if not _by_quadrature(params):
         lgam = np.array([math.lgamma(k) for k in range(1, n + 1)])
-        return lgam - n * _LN2 - ks * math.log(params.delta) - math.log(params.alpha)
-    row, failed = _integrate_family(_eta_log_terms(n, params), ks, 0.0, spec)
+        return lgam - n * _LN2 - math.log(params.alpha)
+    row, failed = _integrate_family(_eta_log_terms(n, params), np.arange(1, n + 1), 0.0, spec)
     for i in sorted(failed):
         row[i] = _log_eta_cell(n, i + 1, params, spec)
     return row
@@ -232,7 +232,7 @@ def _validate_nk(n: int, k: int) -> None:
 
 def log_eta(n: int, k: int, params: GGParams, spec: QuadratureSpec | None = None) -> LogValue:
     """log of eta(n, k) as a LogValue: the gamma = 0 closed form when
-    delta gamma < 1e-290 (gamma = 0 included), quadrature otherwise."""
+    beta = delta gamma < 1e-290 (gamma = 0 included), quadrature otherwise."""
     _validate_nk(n, k)
     if spec is None:
         spec = DEFAULT_QUADRATURE
@@ -242,8 +242,8 @@ def log_eta(n: int, k: int, params: GGParams, spec: QuadratureSpec | None = None
 def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
     """Oracle for log eta(n, k) at alpha = 1/2, gamma > 0:
 
-        eta(n, k) = 2^(1-n) delta^(-k) e^(delta gamma) sum_i C(n-1, i)
-                    (-1)^(n-1-i) (delta gamma)^(2(n-1-i)) Gamma(k-2n+2+2i; delta gamma).
+        eta(n, k) = 2^(1-n) e^beta sum_i C(n-1, i) (-1)^(n-1-i)
+                    beta^(2(n-1-i)) Gamma(k-2n+2+2i; beta),  beta = delta gamma.
 
     The sum alternates; CancellationError is raised once it loses more than
     six digits, which happens as n grows.
@@ -251,8 +251,7 @@ def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
     _validate_nk(n, k)
     if params.alpha != 0.5 or params.gamma <= 0.0:
         raise ValueError("closed form requires alpha = 1/2 and gamma > 0")
-    delta = params.delta
-    x = delta * params.gamma
+    x = params.delta * params.gamma
     log_x = math.log(x)
     terms = []
     for i in range(n):
@@ -273,7 +272,7 @@ def log_eta_half_closed(n: int, k: int, params: GGParams) -> LogValue:
         raise CancellationError(
             f"closed-form eta lost {loss:.1f} digits at n={n}, k={k}"
         )
-    return LogValue.from_log(x + (1 - n) * _LN2 - k * math.log(delta) + total.log_magnitude)
+    return LogValue.from_log(x + (1 - n) * _LN2 + total.log_magnitude)
 
 
 def log_vnk(n: int, k: int, params: GGParams, *, eta: EtaMemo | None = None) -> LogValue:
@@ -287,11 +286,7 @@ def log_vnk(n: int, k: int, params: GGParams, *, eta: EtaMemo | None = None) -> 
 
 
 def _log_vnk_prefactor(n: int, k: int, params: GGParams) -> float:
-    return (
-        k * (math.log(params.delta) + math.log(params.alpha))
-        + n * _LN2
-        - math.lgamma(n)
-    )
+    return k * math.log(params.alpha) + n * _LN2 - math.lgamma(n)
 
 
 def log_eppf(
@@ -325,14 +320,14 @@ class EtaMemo:
 
     The memo keeps rows of eta in one dict. log_row(n) serves row n from it,
     or computes the row by _log_eta_row and keeps it: the closed form when
-    delta gamma < 1e-290, gamma = 0 included, else one quadrature pass over
+    beta < 1e-290, gamma = 0 included, else one quadrature pass over
     the row's shared panels, which certifies each k at spec's tolerance with
     the same error model as a cell and integrates any k it cannot certify as
     its own cell. ensure_rows(n_top) takes row n_top from log_row and fills
     every row below it through the exact downward recurrence. log_eta reads
     any kept row; other cells are computed as log_eta does and cached.
     quadrature_cells counts the eta values integrated, n for each row n
-    integrated at delta gamma >= 1e-290. spec, the quadrature settings,
+    integrated at beta >= 1e-290. spec, the quadrature settings,
     reaches every eta consumer only through its memo.
     """
 
@@ -351,12 +346,12 @@ class EtaMemo:
             raise ValueError("n_top must be >= 1")
         if self._top >= n_top:
             return
-        alpha, delta = self.params.alpha, self.params.delta
+        alpha = self.params.alpha
         row = self.log_row(n_top)
-        log_2ad = math.log(2.0 * alpha * delta)
+        log_2a = math.log(2.0 * alpha)
         for n in range(n_top - 1, 0, -1):
             k_arr = np.arange(1, n + 1, dtype=float)
-            new_part = log_2ad + row[2:n + 2]
+            new_part = log_2a + row[2:n + 2]
             old_part = _LN2 + np.log(n - alpha * k_arr) + row[1:n + 1]
             row = np.full(n + 2, -np.inf)
             row[1:n + 1] = np.logaddexp(new_part, old_part) - math.log(n)
@@ -407,5 +402,5 @@ def predictive(
     le_up = eta.log_eta(n + 1, k + 1)
     base = (2.0 / n) * math.exp(le_same - le)
     existing = tuple(base * (s - params.alpha) for s in composition.block_sizes)
-    new_block = (2.0 / n) * math.exp(le_up - le) * params.alpha * params.delta
+    new_block = (2.0 / n) * math.exp(le_up - le) * params.alpha
     return PredictiveDistribution(existing=existing, new_block=new_block)

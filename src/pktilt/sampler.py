@@ -1,9 +1,11 @@
 """Partition sampling from the predictive rule, and Monte Carlo summaries.
 
 Given i elements in k blocks, element i + 1 opens a new block with
-probability _new_block_prob(eta, i, k), the one place eta enters; otherwise
-it joins block b with probability (n_b - alpha) / (i - k alpha), free of eta
-(the partition is of Gibbs type). The block count K_n is thus a birth chain,
+probability _new_block_prob(eta, i, k) = 1 / (1 + (i - k alpha) / alpha *
+eta(i+1, k) / eta(i+1, k+1)), the one place eta enters, and so a function
+of alpha and beta = delta gamma only; otherwise it joins block b with
+probability (n_b - alpha) / (i - k alpha), free of eta (the partition is
+of Gibbs type). The block count K_n is thus a birth chain,
 which _block_counts runs over whole arrays of replicates for
 monte_carlo_blocks and empirical_diversity. sample_partition runs the same
 chain, records which steps open a block, and seats every other element in
@@ -86,9 +88,9 @@ def _chunks(n: int, replicates: int) -> int:
 def _new_block_prob(eta: EtaMemo, i: int, k: int | np.ndarray):
     """Pr(element i + 1 opens a new block | i elements in k blocks), the
     predictive's new-block weight over its total; k may be an int array."""
-    alpha, delta = eta.params.alpha, eta.params.delta
+    alpha = eta.params.alpha
     row = eta.log_row(i + 1)
-    return 1.0 / (1.0 + (i - k * alpha) / (alpha * delta) * np.exp(row[k] - row[k + 1]))
+    return 1.0 / (1.0 + (i - k * alpha) / alpha * np.exp(row[k] - row[k + 1]))
 
 
 def _block_counts(

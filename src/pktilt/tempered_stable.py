@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,9 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
     # sum amplifies near the cancellation edge; a t that underflowed to 0
     # overflows at xi = 1
     log_t = np.array([math.log(v) if v > 0.0 else -math.inf for v in t.tolist()])
-    log_2x = math.log(2.0) - (log_t - math.log(delta) / alpha)
-    out = np.full(t.shape, np.nan)
+    log_scale = -math.log(delta) / alpha
+    log_2x = math.log(2.0) - (log_t + log_scale)
+    log_f = np.full(t.shape, np.nan)
     failed: dict[int, str] = {}
     width = xi.size
     for lo in range(0, t.size, _SERIES_ROWS):
@@ -192,15 +194,16 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
             max_mag = float(np.abs(terms).max())
             total = math.fsum(terms.tolist())
             if max_mag == 0.0:
-                out[i] = 0.0
+                log_f[i] = -math.inf
             elif total <= 0.0 or max_mag > guard * total:
                 failed[i] = (
                     f"series cancellation beyond guard at t={ti}: "
                     f"max term {max_mag:.3e} vs sum {total:.3e}"
                 )
             else:
-                out[i] = total * delta ** (-1.0 / alpha) / (2.0 * math.pi)
-    return out, failed
+                log_f[i] = math.log(total)
+    # the scale delta^(-1/alpha) in log space: inf past the float range
+    return np.exp(log_f + (log_scale - _LOG_2PI)), failed
 
 
 def stable_density_half(delta: float, t: float) -> float:

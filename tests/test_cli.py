@@ -199,6 +199,18 @@ def test_diversity_tilt_beyond_float_range(capsys):
     assert doc["density"] == [0.0] and doc["log_density"] == [None] and doc["notes"] == [""]
 
 
+def test_diversity_at_tiny_delta_is_the_delta_free_law(capsys):
+    # at gamma = 0 the law of S is delta-free; the delta-scale argument
+    # 2 delta^(1/alpha) s^(-1/alpha) = 2e-500 would underflow to 0
+    ref = diversity_density(GGParams(0.02, 1.0, 0.0), 1.0)
+    assert ref == 0.3679758512299446
+    assert diversity_density(GGParams(0.02, 1e-10, 0.0), 1.0) == ref
+    argv = ["diversity", "--alpha", "0.02", "--delta", "1e-10", "--gamma", "0", "--s", "1"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["density"] == [ref] and doc["notes"] == [""]
+
+
 def test_requests_in_one_process_match_requests_one_at_a_time(tmp_path):
     # main parses with one parser per process; a request that exits 2 leaves
     # nothing behind for the next one

@@ -2,8 +2,8 @@
 the EPPF, predictive rules, and the recurrence-filled eta table.
 
 Oracles: the n = k = 1 integral has the elementary value
-1 / (2 alpha delta) for every gamma; the gamma = 0 closed form
-Gamma(k) 2^(-n) delta^(-k) / alpha, which serves eta there, is the
+1 / (2 alpha) for every beta = delta gamma; the gamma = 0 closed form
+Gamma(k) 2^(-n) / alpha, which serves eta there, is the
 gamma -> 0+ limit of the tilted quadrature; and the alpha = 1/2 closed form
 is an independent route against generic quadrature.
 """
@@ -69,8 +69,8 @@ def test_composition_validation():
 
 @pytest.mark.parametrize("params", PARAM_GRID)
 def test_eta_1_1_elementary_value(params):
-    # eta carries the tilt factor e^(delta gamma), so gamma drops out here
-    ref = 1.0 / (2.0 * params.alpha * params.delta)
+    # eta carries the tilt factor e^beta, so beta drops out here
+    ref = 1.0 / (2.0 * params.alpha)
     assert log_eta(1, 1, params, TIGHT).value == pytest.approx(ref, rel=1e-11)
 
 
@@ -84,12 +84,7 @@ def test_eta_gamma_zero_closed_triangle():
             p0 = GGParams(alpha, delta, 0.0)
             p = GGParams(alpha, delta, 1e-14 / delta)
             for n, k in cells:
-                ref = (
-                    math.lgamma(k)
-                    - n * math.log(2.0)
-                    - k * math.log(delta)
-                    - math.log(alpha)
-                )
+                ref = math.lgamma(k) - n * math.log(2.0) - math.log(alpha)
                 assert log_eta(n, k, p0).log_magnitude == pytest.approx(
                     ref, rel=1e-15, abs=1e-13
                 ), (alpha, delta, n, k)
@@ -108,7 +103,7 @@ def test_eta_gamma_zero_runs_no_quadrature(monkeypatch):
     memo = EtaMemo(p)
     memo.ensure_rows(300)
     assert memo.log_eta(300, 7) == pytest.approx(
-        math.lgamma(7) - 300 * math.log(2.0) - 7 * math.log(2.0) - math.log(0.4),
+        math.lgamma(7) - 300 * math.log(2.0) - math.log(0.4),
         abs=1e-10,
     )
     cells = EtaMemo(p)
@@ -203,10 +198,11 @@ def test_eta_quadrature_work_is_bounded(params, monkeypatch):
 @pytest.mark.parametrize("spec", [None, TIGHT], ids=["default", "tight"])
 def test_eta_small_tilt_matches_reference(spec):
     # mpmath reference (40 digits) for log eta(2, 1) at (0.4, 1e-6, 2), tilt
-    # factor included: the integrand rises over offsets of order delta gamma =
+    # factor included: 13.3455055953896363 for the integral at delta, plus
+    # ln delta = ln 1e-6. The integrand rises over offsets of order beta =
     # 2e-6, far left of its peak
     le = log_eta(2, 1, GGParams(0.4, 1e-6, 2.0), spec).log_magnitude
-    assert abs(le - 13.3455055953896363) <= 1e-10
+    assert abs(le - -0.4700049625746378) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha,delta,gamma,n", [
@@ -401,8 +397,16 @@ ETA_CONSUMERS = {
 @pytest.mark.parametrize("name", sorted(ETA_CONSUMERS))
 def test_eta_memo_for_other_params_is_rejected(name):
     memo = EtaMemo(GGParams(0.5, 1.0, 1.0))
-    with pytest.raises(ValueError, match="eta memo"):
-        ETA_CONSUMERS[name](GGParams(0.3, 1.0, 1.0), memo)
+    others = [
+        GGParams(0.3, 1.0, 1.0),  # another alpha
+        GGParams(0.5, 1.0, 2.0),  # the same alpha, another beta
+        # the same (alpha, beta), so the same eta, but a memo serves only
+        # the params it was built for
+        GGParams(0.5, 2.0, 0.5),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="eta memo"):
+            ETA_CONSUMERS[name](other, memo)
     assert memo.quadrature_cells == 0
 
 

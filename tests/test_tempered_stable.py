@@ -121,6 +121,16 @@ def test_stable_density_normalizes_alpha_half():
         assert r.value == pytest.approx(1.0, rel=1e-10)
 
 
+def test_series_scale_beyond_float_power():
+    # delta^(-1/alpha) = 1e500 leaves the float range, the density
+    # delta^(-1/alpha) f(alpha, 1, t delta^(-1/alpha)) does not
+    got = stable_density_series(0.02, 1e-10, 1e-300)
+    log_ref = math.log(stable_density_series(0.02, 1.0, 1e200)) + 500.0 * math.log(10.0)
+    assert abs(math.log(got) - log_ref) <= 1e-12
+    # 1e316 f(1/4, 1, 2) is beyond the float range: it saturates to inf
+    assert stable_density_series(0.25, 1e-79, 2e-316) == math.inf
+
+
 def _stable_left_tail_bound(alpha: float, delta: float, t0: float) -> float:
     """Chernoff bound P(T <= t0) <= exp(lam t0 - delta (2 lam)^alpha) at the
     optimal lam = (1/2) (2 delta alpha / t0)^(1/(1-alpha))."""
