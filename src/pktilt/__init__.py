@@ -23,9 +23,7 @@ from .specfun import (
 )
 from .tempered_stable import (
     GGParams,
-    stable_density,
     stable_density_series,
-    stable_density_half,
     laplace_exponent,
     levy_density,
     sample_stable,
@@ -64,8 +62,7 @@ __all__ = [
     "CancellationError", "QuadratureError", "LogValue", "QuadratureSpec",
     "DEFAULT_QUADRATURE", "log_rising_factorial", "log_binomial",
     "upper_incomplete_gamma", "integrate_decaying",
-    "GGParams", "stable_density", "stable_density_series",
-    "stable_density_half", "laplace_exponent",
+    "GGParams", "stable_density_series", "laplace_exponent",
     "levy_density", "sample_stable", "sample_tempered",
     "Composition", "PredictiveDistribution", "EtaMemo", "log_eta", "log_vnk",
     "log_eppf", "predictive",

@@ -147,7 +147,7 @@ def _log_diversity_density(params: GGParams, s: np.ndarray) -> tuple[np.ndarray,
     log_jac = log_t - np.log(alpha * s)
     failed: dict[int, str] = {}
     if alpha == 0.5:
-        # log stable_density_half(1, t) at t = 2 / s^2: 1 / (2 t) = s^2 / 4
+        # log oracle.stable_density_half(1, t) at t = 2 / s^2: 1 / (2 t) = s^2 / 4
         log_f = -math.log(_SQRT_2PI) - 1.5 * log_t - 0.25 * s * s
     else:
         # t by math.log and math.exp: NumPy's SIMD log and exp may round the
@@ -156,6 +156,8 @@ def _log_diversity_density(params: GGParams, s: np.ndarray) -> tuple[np.ndarray,
         t = np.exp(log_t)
         fits = log_t < 709.0
         t[fits] = [math.exp(v) for v in log_t[fits].tolist()]
-        f, failed = _stable_series(alpha, 1.0, t)
-        log_f = np.log(f)
+        log_f, failed = _stable_series(alpha, 1.0, t)
+        gone = tilt == -math.inf  # the density is 0 there, whatever the series did
+        log_f[gone] = -math.inf
+        failed = {i: why for i, why in failed.items() if not gone[i]}
     return tilt + log_jac + log_f, failed

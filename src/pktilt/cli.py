@@ -33,8 +33,9 @@ from .tempered_stable import SERIES_CANCELLATION_GUARD, SERIES_TERM_TOLERANCE, G
 from .eppf import Composition, EtaMemo, log_eppf, predictive
 # diversity_density is not called here; benchmarks/tracing.py wraps it under this name
 from .blocks import _log_diversity_density, blocks_pmf, diversity_density  # noqa: F401
-from .oracle import MAX_ENUMERATION_N, enumerate_set_partitions, exact_blocks_pmf
-from .sampler import monte_carlo_blocks, sample_partition
+from .oracle import MAX_ENUMERATION_N, chain_blocks_pmf, enumerate_set_partitions, exact_blocks_pmf
+# monte_carlo_blocks is not called here; benchmarks/tracing.py wraps it under this name
+from .sampler import monte_carlo_blocks, sample_partition  # noqa: F401
 
 __all__ = ["main", "build_parser"]
 
@@ -42,9 +43,8 @@ __all__ = ["main", "build_parser"]
 # CancellationError (0: every self-check passed, 1: one failed, 2: bad arguments)
 _EXIT_NUMERICS = 3
 
-# the default Monte Carlo TV gate: the expected TV of an exact sampler plus
-# this many of its standard deviations (see _tv_gate)
-_TV_MARGIN_SDS = 6.0
+# validate compares the K_n chain's exact law with blocks_pmf at this n
+_CHAIN_CHECK_N = 20
 
 
 def _parse_composition(text: str) -> Composition:
@@ -114,16 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("validate", parents=[common], help="run exact identities (and optional MC)")
+    p = sub.add_parser("validate", parents=[common], help="run exact identities")
     p.add_argument("--n-max", type=int, default=6,
                    help="largest n for enumeration identities (capped at 8)")
-    p.add_argument("--mc", action="store_true", help="also run a Monte Carlo block-count check")
-    p.add_argument("--mc-n", type=int, default=20)
-    p.add_argument("--replicates", type=int, default=100_000)
-    p.add_argument("--tv-threshold", type=float, default=None,
-                   help="Monte Carlo TV gate (default: the TV noise floor of an exact "
-                        f"sampler plus {_TV_MARGIN_SDS:g} of its standard deviations)")
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -168,23 +161,6 @@ def _check(name: str, value: float, threshold: float) -> dict:
 
 def _skipped_check(name: str, reason: str) -> dict:
     return {"name": name, "skipped": reason, "passed": True}
-
-
-def _tv_gate(pmf, replicates: int) -> tuple[float, float]:
-    """The noise floor of the block-count TV of an exact sampler, and the
-    default gate on it.
-
-    With R replicates the empirical frequency of k is about normal around p_k
-    with variance s_k^2 = p_k (1 - p_k) / R, so the expected TV is the floor
-    0.5 sum_k s_k sqrt(2 / pi). Treating the |deviations| as independent, the
-    TV's standard deviation is 0.5 sqrt((1 - 2 / pi) sum_k s_k^2); the gate
-    adds _TV_MARGIN_SDS of them to the floor.
-    """
-    p = np.asarray(pmf, dtype=float)
-    var = p * (1.0 - p) / replicates
-    floor = 0.5 * float(np.sum(np.sqrt(2.0 * var / math.pi)))
-    sd = 0.5 * math.sqrt((1.0 - 2.0 / math.pi) * float(np.sum(var)))
-    return floor, floor + _TV_MARGIN_SDS * sd
 
 
 def _csv(header: str, rows: list[str]) -> str:
@@ -371,11 +347,11 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
         raise ValueError("--n-max must be >= 1")
     checks = []
     rows = []
-    # the table serves blocks_pmf; the enumeration and predictive identities
-    # read per-cell values (closed form at gamma = 0, quadrature otherwise),
-    # so they check the table's recurrence instead of echoing it
+    # the table serves blocks_pmf and the chain; the enumeration and predictive
+    # identities read per-cell values (closed form at gamma = 0, quadrature
+    # otherwise), so they check the table's recurrence instead of echoing it
     table = EtaMemo(params, spec)
-    table.ensure_rows(n_max)
+    table.ensure_rows(_CHAIN_CHECK_N)
     cells = EtaMemo(params, spec)
     for n in range(1, n_max + 1):
         exact = exact_blocks_pmf(n, params, eta=cells)
@@ -386,6 +362,11 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
         dev = max(abs(a - b) for a, b in zip(fast.probabilities, exact.probabilities))
         checks.append(_check(f"blocks_vs_enumeration_n{n}", dev, 1e-8))
         rows.append(f"blocks_vs_enumeration,n={n},{dev!r},1e-08,{dev <= 1e-8}")
+    chain = chain_blocks_pmf(_CHAIN_CHECK_N, params, eta=table)
+    fast = blocks_pmf(_CHAIN_CHECK_N, params, eta=table)
+    dev = max(abs(a - b) for a, b in zip(fast.probabilities, chain.probabilities))
+    checks.append(_check(f"blocks_vs_chain_n{_CHAIN_CHECK_N}", dev, 1e-8))
+    rows.append(f"blocks_vs_chain,n={_CHAIN_CHECK_N},{dev!r},1e-08,{dev <= 1e-8}")
     # predictive additivity across the shapes of n_max
     worst = 0.0
     seen = set()
@@ -399,25 +380,6 @@ def cmd_validate(args, params: GGParams, spec: QuadratureSpec):
     checks.append(_check("predictive_additivity_worst", worst, 1e-8))
     rows.append(f"predictive_additivity,shapes<=6,{worst!r},1e-08,{worst <= 1e-8}")
     payload = {"n_max": n_max}
-    if args.mc:
-        report = monte_carlo_blocks(
-            args.mc_n, params, args.replicates, args.seed, eta=EtaMemo(params, spec)
-        )
-        floor, threshold = _tv_gate(report.reference_pmf, report.replicates)
-        if args.tv_threshold is not None:
-            threshold = args.tv_threshold
-        payload["mc"] = {
-            "n": report.n,
-            "replicates": report.replicates,
-            "seed": report.seed,
-            "tv_distance": report.tv_distance,
-            "tv_noise_floor": floor,
-        }
-        checks.append(_check("mc_block_count_tv", report.tv_distance, threshold))
-        rows.append(
-            f"mc_block_count_tv,n={report.n},{report.tv_distance!r},"
-            f"{threshold!r},{report.tv_distance <= threshold}"
-        )
     header = "check,detail,value,threshold,passed"
     return payload, checks, _csv(header, rows)
 

@@ -1,5 +1,6 @@
 """Oracles: brute-force enumeration, the audit routes of the blocks layer,
-and the tilted densities that cross-check the tempered stable layer.
+the K_n chain's exact law, and the stable and tilted densities that
+cross-check the tempered stable layer.
 
 Small-n ground truth for everything the fast paths claim. Enumeration is
 capped at n = 10 (Bell(10) = 115975); beyond that the cap errors out.
@@ -17,6 +18,11 @@ badly for large n, and at alpha = 1/2 the closed product form
 The alpha diversity density has a closed form at alpha = 1/2, gamma = 1:
 
     f_S(s) = (1 / sqrt(pi)) exp(delta - delta^2 / s^2 - s^2 / 4).
+
+The K_n chain's law solves the forward equation P_{i+1}(k) = P_i(k) (1 -
+q_i(k)) + P_i(k - 1) q_i(k - 1) of its new-block probabilities q, and is
+V_{n,k} S_alpha(n, k) (Gnedin & Pitman 2006): chain_blocks_pmf is a route
+to the K_n pmf independent of the top eta row and the Stirling row.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from .specfun import log_binomial
-from .tempered_stable import _SQRT_2PI, GGParams, stable_density
+from .tempered_stable import _SQRT_2PI, GGParams, stable_density_series
 from .eppf import Composition, EtaMemo, _memo_for, log_eppf
 from .blocks import BlockCountPmf
+from .sampler import _new_block_prob
 
 __all__ = [
     "SetPartition",
@@ -38,9 +45,12 @@ __all__ = [
     "enumerate_set_partitions",
     "bell_number",
     "exact_blocks_pmf",
+    "chain_blocks_pmf",
     "stirling_explicit",
     "bell_polynomial_half",
     "diversity_density_half",
+    "stable_density_half",
+    "stable_density",
     "tempered_density",
     "ig_density",
 ]
@@ -124,6 +134,23 @@ def exact_blocks_pmf(n: int, params: GGParams, *, eta: EtaMemo | None = None) ->
     return BlockCountPmf(n=n, probabilities=probs)
 
 
+def chain_blocks_pmf(n: int, params: GGParams, *, eta: EtaMemo | None = None) -> BlockCountPmf:
+    """Pr(K_n = k) by the chain's forward equation, with q_i(k) =
+    sampler._new_block_prob(eta, i, k) on the rows that eta.ensure_rows(n)
+    builds by the recurrence; eta, a memo for params, defaults to a fresh one."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    eta = _memo_for(params, eta)
+    eta.ensure_rows(n)
+    p = np.zeros(n + 1)
+    p[1] = 1.0
+    for i in range(1, n):
+        opened = p[1:i + 1] * _new_block_prob(eta, i, np.arange(1, i + 1))
+        p[1:i + 1] -= opened
+        p[2:i + 2] += opened
+    return BlockCountPmf(n=n, probabilities=tuple(p[1:].tolist()))
+
+
 def stirling_explicit(alpha: float, n: int, k: int) -> float:
     """Audit route: the explicit alternating sum for S_alpha(n, k).
 
@@ -170,6 +197,23 @@ def diversity_density_half(delta: float, s: float) -> float:
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s!r}")
     return math.exp(delta - delta * delta / (s * s) - 0.25 * s * s) / math.sqrt(math.pi)
+
+
+def stable_density_half(delta: float, t: float) -> float:
+    """Closed form of the alpha = 1/2 stable density:
+    (delta / sqrt(2 pi)) t^(-3/2) exp(-delta^2 / (2 t))."""
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t!r}")
+    return delta / _SQRT_2PI * t ** -1.5 * math.exp(-delta * delta / (2.0 * t))
+
+
+def stable_density(alpha: float, delta: float, t: float) -> float:
+    """Untilted stable density; dispatches to the closed form at alpha = 1/2."""
+    if alpha == 0.5:
+        return stable_density_half(delta, t)
+    return stable_density_series(alpha, delta, t)
 
 
 def tempered_density(params: GGParams, t: float) -> float:

@@ -8,9 +8,9 @@ Conventions used throughout the package:
         exp(delta gamma - (1/2) gamma^(1/alpha) t),
     which gives Laplace exponent
         psi(lam) = -delta gamma + delta (gamma^(1/alpha) + 2 lam)^alpha;
-  - at alpha = 1/2 the tilted law is inverse Gaussian. stable_density then
-    uses the closed-form stable density, and pktilt.oracle.ig_density is a
-    cross-check oracle. The eta integrals of pktilt.eppf are quadrature at every alpha
+  - at alpha = 1/2 the tilted law is inverse Gaussian; its closed forms,
+    pktilt.oracle.stable_density_half and ig_density, are cross-check
+    oracles. The eta integrals of pktilt.eppf are quadrature at every alpha
     (closed form at gamma = 0).
 
 At other alpha the stable density is an alternating series. _stable_series
@@ -36,8 +36,6 @@ from .specfun import CancellationError
 __all__ = [
     "GGParams",
     "stable_density_series",
-    "stable_density_half",
-    "stable_density",
     "laplace_exponent",
     "levy_density",
     "sample_stable",
@@ -98,6 +96,7 @@ def _validate_alpha_delta(alpha: float, delta: float) -> None:
         raise ValueError(f"delta must be positive, got {delta!r}")
 
 
+@np.errstate(over="ignore")  # past the float range the density saturates to inf
 def stable_density_series(alpha: float, delta: float, t: float) -> float:
     """Density of the untilted stable law by its alternating series.
 
@@ -116,10 +115,10 @@ def stable_density_series(alpha: float, delta: float, t: float) -> float:
     _validate_alpha_delta(alpha, delta)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    f, failed = _stable_series(alpha, delta, np.array([t], dtype=float))
+    log_f, failed = _stable_series(alpha, delta, np.array([t], dtype=float))
     if failed:
         raise CancellationError(failed[0])
-    return float(f[0])
+    return float(np.exp(log_f)[0])
 
 
 # points per row block of _stable_series: bounds its matrices on large grids
@@ -130,15 +129,16 @@ _SERIES_ROWS = 256
 def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """The series of stable_density_series at every point of a 1-D array t > 0.
 
-    Returns the densities, nan where a point failed, and why each failed
+    Returns the log densities, nan where a point failed, and why each failed
     point failed, by index into t: the CancellationError message
     stable_density_series raises. The xi tables (signed sines with the zero
     sines dropped, xi alpha + 1, and the log Gamma ratios) are built once
     per call, SERIES_MAX_TERMS wide; each block of _SERIES_ROWS points forms
     its (points x terms) envelope and term matrices from them, with running
-    sums by np.cumsum. A point stops at its first term j >= 3 whose envelope
-    is at most SERIES_TERM_TOLERANCE max(|running sum|, 1e-300) and at most
-    the previous term's, unless an envelope overflows (log > 700) first.
+    sums by np.cumsum, relative to the first envelope where its log is below
+    -700. A point stops at its first term j >= 3 whose envelope is at most
+    SERIES_TERM_TOLERANCE max(|running sum|, 1e-300) and at most the previous
+    term's, unless an envelope overflows (log > 700) first; t = inf fails.
     """
     tol, guard = SERIES_TERM_TOLERANCE, SERIES_CANCELLATION_GUARD
     xi = np.arange(1, SERIES_MAX_TERMS + 1)
@@ -168,6 +168,8 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
         # alpha xi is an integer only up to rounding, the sine is ~1e-14 and
         # the term looks negligible while the sum is unfinished
         log_env = lg + a1 * log_2x[lo:rows.stop, None]
+        shift = np.where(log_env[:, 0] < -700.0, log_env[:, 0], 0.0)
+        log_env -= shift[:, None]
         # below -746 exp is exactly 0; skipping those cells skips NumPy's
         # slow underflow path
         env = np.exp(log_env, out=np.zeros_like(log_env), where=log_env > -746.0)
@@ -180,6 +182,9 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
         first_over = np.where(over.any(axis=1), over.argmax(axis=1), width).tolist()
         for r, i in enumerate(rows):
             js, jo, ti = first_stop[r], first_over[r], float(t[i])
+            if ti == math.inf:
+                failed[i] = "t=inf is outside the float range"
+                continue
             if jo < width and jo <= js:
                 failed[i] = f"series term overflows at xi={int(xi[jo])}; t={ti} is outside the reliable region"
                 continue
@@ -193,34 +198,14 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
             terms = signed[:js + 1] * np.array([math.exp(v) for v in log_env[r, :js + 1].tolist()])
             max_mag = float(np.abs(terms).max())
             total = math.fsum(terms.tolist())
-            if max_mag == 0.0:
-                log_f[i] = -math.inf
-            elif total <= 0.0 or max_mag > guard * total:
+            if total <= 0.0 or max_mag > guard * total:
                 failed[i] = (
                     f"series cancellation beyond guard at t={ti}: "
                     f"max term {max_mag:.3e} vs sum {total:.3e}"
                 )
             else:
-                log_f[i] = math.log(total)
-    # the scale delta^(-1/alpha) in log space: inf past the float range
-    return np.exp(log_f + (log_scale - _LOG_2PI)), failed
-
-
-def stable_density_half(delta: float, t: float) -> float:
-    """Closed form of the alpha = 1/2 stable density:
-    (delta / sqrt(2 pi)) t^(-3/2) exp(-delta^2 / (2 t))."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
-    return delta / _SQRT_2PI * t ** -1.5 * math.exp(-delta * delta / (2.0 * t))
-
-
-def stable_density(alpha: float, delta: float, t: float) -> float:
-    """Untilted stable density; dispatches to the closed form at alpha = 1/2."""
-    if alpha == 0.5:
-        return stable_density_half(delta, t)
-    return stable_density_series(alpha, delta, t)
+                log_f[i] = math.log(total) + shift[r]
+    return log_f + (log_scale - _LOG_2PI), failed
 
 
 def laplace_exponent(params: GGParams, lam):

@@ -260,6 +260,18 @@ def test_diversity_generic_alpha_series_region():
         diversity_density(p, 9.0)
 
 
+def test_diversity_keeps_its_value_at_tiny_s():
+    # at gamma = 0 the density tends to a positive constant as s -> 0, while
+    # the stable density it reads at t = 2 s^(-1/alpha) is far below the
+    # float range; past s ~ 1e-277 t itself overflows and the point fails
+    p = GGParams(0.9, 1.0, 0.0)
+    ref = diversity_density(p, 1e-50)
+    for s in (1e-150, 1e-200):
+        assert diversity_density(p, s) == pytest.approx(ref, rel=1e-12, abs=0.0), s
+    with pytest.raises(CancellationError):
+        diversity_density(p, 1e-300)
+
+
 def test_diversity_validation():
     with pytest.raises(ValueError):
         diversity_density(GGParams(0.5, 1.0, 1.0), 0.0)

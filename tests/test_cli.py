@@ -2,8 +2,7 @@
 
 Every subcommand is exercised through main(argv); output is parsed back from
 stdout (or --out files) and checked for the documented envelope fields,
-self-check behavior, CSV headers, exit codes, and the tolerance environment
-variable.
+self-check behavior, CSV headers and exit codes.
 """
 
 import json
@@ -15,10 +14,9 @@ import sys
 import numpy as np
 import pytest
 
-from pktilt import cli
-from pktilt.blocks import _log_diversity_density, blocks_pmf, diversity_density
+from pktilt import oracle
+from pktilt.blocks import _log_diversity_density, diversity_density
 from pktilt.cli import main
-from pktilt.sampler import McReport, monte_carlo_blocks
 from pktilt.tempered_stable import GGParams
 
 BASE = ["--alpha", "0.5", "--delta", "1.0", "--gamma", "1.0"]
@@ -211,6 +209,17 @@ def test_diversity_at_tiny_delta_is_the_delta_free_law(capsys):
     assert doc["density"] == [ref] and doc["notes"] == [""]
 
 
+def test_diversity_where_t_leaves_the_float_range(capsys):
+    # at s = 1e-300, t = 2 s^(-1/alpha) overflows: the point is null with its
+    # note, while s = 1e-200 keeps its value
+    argv = ["diversity", "--alpha", "0.9", "--delta", "1", "--gamma", "0", "--s", "1e-200,1e-300"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["density"][0] == diversity_density(GGParams(0.9, 1.0, 0.0), 1e-200) > 0.1
+    assert doc["density"][1] is None and doc["log_density"][1] is None
+    assert doc["notes"] == ["", "outside reliable region"]
+
+
 def test_requests_in_one_process_match_requests_one_at_a_time(tmp_path):
     # main parses with one parser per process; a request that exits 2 leaves
     # nothing behind for the next one
@@ -264,42 +273,17 @@ def test_validate_subcommand(capsys):
     assert doc["passed"] is True
 
 
-def test_validate_with_mc(capsys):
-    argv = ["validate", *BASE, "--n-max", "3", "--mc", "--mc-n", "8",
-            "--replicates", "2000", "--tv-threshold", "0.05", "--seed", "3"]
-    code, doc = run_json(capsys, argv)
-    assert code == 0
-    assert doc["mc"]["n"] == 8
-    assert doc["mc"]["tv_distance"] < 0.05
-
-
-def test_validate_mc_default_gate_tracks_noise_floor(capsys):
-    # an exact sampler at 2000 replicates and n = 200 has a TV noise floor
-    # of about 0.06, far above a fixed 0.01; the default gate sits above it
-    argv = ["validate", *BASE, "--n-max", "1", "--mc", "--mc-n", "200",
-            "--replicates", "2000"]
-    code, doc = run_json(capsys, argv)
-    assert code == 0
-    gate = next(c for c in doc["self_checks"] if c["name"] == "mc_block_count_tv")
-    assert doc["mc"]["tv_noise_floor"] > 0.05
-    assert gate["threshold"] > doc["mc"]["tv_noise_floor"]
-
-
-def test_validate_mc_default_gate_rejects_biased_sampler(capsys, monkeypatch):
-    # a sampler drawing K_n at alpha + 0.02 fails the default gate at the
-    # default mc-n, replicates and seed
-    def biased(n, params, replicates, seed, *, eta=None):
-        wrong = GGParams(params.alpha + 0.02, params.delta, params.gamma)
-        drawn = monte_carlo_blocks(n, wrong, replicates, seed)
-        reference = blocks_pmf(n, params).probabilities
-        tv = 0.5 * math.fsum(abs(e - p) for e, p in zip(drawn.empirical_pmf, reference))
-        return McReport(n, replicates, seed, drawn.empirical_pmf, reference, tv)
-
-    monkeypatch.setattr(cli, "monte_carlo_blocks", biased)
-    code, doc = run_json(capsys, ["validate", *BASE, "--n-max", "1", "--mc"])
+def test_validate_chain_check_rejects_a_biased_chain(capsys, monkeypatch):
+    # every validate run compares the chain's exact K_n law with blocks_pmf
+    # at n = 20; a new-block probability 2% too high fails that check alone
+    code, doc = run_json(capsys, ["validate", *BASE, "--n-max", "1"])
+    chain = next(c for c in doc["self_checks"] if c["name"] == "blocks_vs_chain_n20")
+    assert code == 0 and chain["passed"] is True and chain["value"] < 1e-12
+    true_prob = oracle._new_block_prob
+    monkeypatch.setattr(oracle, "_new_block_prob", lambda eta, i, k: 1.02 * true_prob(eta, i, k))
+    code, doc = run_json(capsys, ["validate", *BASE, "--n-max", "1"])
     assert code == 1 and doc["passed"] is False
-    gate = next(c for c in doc["self_checks"] if c["name"] == "mc_block_count_tv")
-    assert gate["passed"] is False
+    assert [c["name"] for c in doc["self_checks"] if not c["passed"]] == ["blocks_vs_chain_n20"]
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +390,13 @@ def test_bad_arguments_exit_two(capsys):
         ["blocks", *BASE, "--n", "12", "--oracle", "enum"],     # enumeration too large
         ["sample", *BASE, "--n", "5", "--replicates", "0"],     # no replicates
         ["validate", *BASE, "--n-max", "0"],                    # n-max below 1
+        ["validate", *BASE, "--mc"],                            # removed option
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
-
-
-def test_validate_mc_n_below_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", *BASE, "--n-max", "2", "--mc", "--mc-n", "0", "--replicates", "10"])
-    assert exc.value.code == 2
-    assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
