@@ -9,9 +9,12 @@ where S_alpha are generalized Stirling numbers,
     S_alpha(n+1, k) = S_alpha(n, k-1) + (n - k alpha) S_alpha(n, k),
     S_alpha(1, 1) = 1,
 
-all positive for alpha in (0, 1), so the recurrence runs cleanly in log
-scale. blocks_pmf needs row n of S_alpha and row n of eta only, and builds
-neither triangle, so its memory is O(n). The explicit alternating sum and
+all positive for alpha in (0, 1). Every coefficient is positive, so the
+recurrence runs in linear scale with no cancellation: stirling_table keeps
+each S_alpha(m, k) as a mantissa times 2 to an integer exponent of its own,
+renormalised every few steps, and takes one log per k at the end.
+blocks_pmf needs row n of S_alpha and row n of eta only, and builds neither
+triangle, so its memory is O(n). The explicit alternating sum and
 the alpha = 1/2 product form of S_alpha are audit routes, kept in
 pktilt.oracle.
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import CancellationError
-from .tempered_stable import _SQRT_2PI, GGParams, _stable_series
+from .tempered_stable import GGParams, _stable_series
 from .eppf import _LN2, EtaMemo, _log_vnk_prefactor, _memo_for
 
 __all__ = [
@@ -50,25 +53,65 @@ __all__ = [
     "diversity_density",
 ]
 
+_LOG_PI = math.log(math.pi)
+
+
+# steps of stirling_table between renormalisations. In one step a slot
+# grows by at most about 2 log2 n bits (the neighbour ratio S(m, k-1) / S(m, k)
+# is at most m^2 / 2; 20.9 bits at n = 2000) and shrinks by at most
+# -log2(1 - alpha) <= 53 bits, so from a mantissa in [1/2, 1) 16 steps stay
+# inside the normal float range [2^-1022, 2^1024) up to n ~ 1e9
+_RENORM_STEPS = 16
+
 
 def stirling_table(alpha: float, n: int) -> np.ndarray:
     """Row n of the log-scale Stirling triangle: log S_alpha(n, k) at index k,
-    -inf at k = 0 and k = n + 1. The forward recurrence keeps one row at a
-    time, so the row takes O(n) memory."""
+    -inf at k = 0 and k = n + 1.
+
+    The forward recurrence runs in linear scale, slot k holding a mantissa
+    y_k and an integer exponent e_k with S(m, k) = y_k 2^e_k. A step is
+
+        y_k <- y_(k-1) r_k + (m - k alpha) y_k,   r_k = 2^(e_(k-1) - e_k),
+
+    three array operations over the live slots; every _RENORM_STEPS steps
+    np.frexp brings each mantissa back to [1/2, 1) and r is rebuilt. Scaling
+    by a power of two is exact, so the row does not depend on when
+    renormalisation happens; the final one leaves it canonical before the
+    single log y_k + e_k log 2 per k. The row takes O(n) memory.
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    row = np.full(n + 2, -np.inf)
-    row[1] = 0.0
-    alpha_k = alpha * np.arange(1, n, dtype=float)
-    for m in range(1, n):
-        # S(m+1, k) = S(m, k-1) + (m - k alpha) S(m, k) for k = 1..m, and
-        # S(m+1, m+1) = S(m, m)
-        stay = np.log(m - alpha_k[:m])
-        stay += row[1:m + 1]
-        row[m + 1] = row[m]
-        row[1:m + 1] = np.logaddexp(row[0:m], stay, out=stay)
+    # slot k at index k, as in the returned row: slot 0 stays 0
+    # (S(m, 0) = 0). t holds the neighbour terms, then the row
+    buf = np.zeros((3, n + 2))
+    y, r, t = buf[0], buf[1], buf[2]
+    r.fill(1.0)
+    e = np.zeros(n + 2, dtype=np.int64)
+    y[1] = 1.0
+    alpha_k = np.arange(1, n + 1, dtype=float)
+    alpha_k *= alpha
+    stay = np.empty((_RENORM_STEPS, n))
+    for m0 in range(1, n, _RENORM_STEPS):
+        # steps m = m0 .. w - 1 make rows m0 + 1 .. w, whose live slots are
+        # 1 .. w at most; a slot not yet alive holds 0 with e_k = 0 and comes
+        # alive as S(m + 1, m + 1) = S(m, m)
+        w = min(m0 + _RENORM_STEPS, n)
+        block = stay[:w - m0, :w]
+        np.subtract(np.arange(m0, w, dtype=float)[:, None], alpha_k[:w], out=block)
+        prev, cur, rv, tv = y[:w], y[1:w + 1], r[1:w + 1], t[1:w + 1]
+        for c in block:
+            np.multiply(prev, rv, out=tv)
+            cur *= c
+            cur += tv
+        _, shift = np.frexp(cur, out=(cur, None))
+        e[1:w + 1] += shift
+        if w < n:
+            np.ldexp(1.0, e[:w + 1] - e[1:w + 2], out=r[1:w + 2])
+    row = np.multiply(e, _LN2, out=t)
+    row[1:n + 1] += np.log(y[1:n + 1])
+    row[0] = row[n + 1] = -np.inf
     return row
 
 
@@ -132,7 +175,11 @@ def diversity_density(params: GGParams, s: float) -> float:
 @np.errstate(all="ignore")
 def _log_diversity_density(params: GGParams, s: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """log f_S at every point of a 1-D array s > 0, as tilt + log Jacobian +
-    log stable density, in one pass of the stable series over the grid.
+    log stable density, in one pass of the stable series over the grid. The
+    Jacobian (2 / alpha) s^(-1/alpha - 1) cancels the power (2 / t)^(alpha + 1)
+    = s^(1 + 1/alpha) of the series' first term exactly, so the sum is
+    tilt + log(2 / alpha) + log g(t), with log g what _stable_series returns,
+    and no log of size |log s| / alpha is rounded on the way.
 
     Returns the logs, -inf where the density underflows to 0 and nan where
     the series failed, and the CancellationError message of each failed
@@ -140,24 +187,23 @@ def _log_diversity_density(params: GGParams, s: np.ndarray) -> tuple[np.ndarray,
     """
     alpha, beta = params.alpha, params.delta * params.gamma
     s = np.asarray(s, dtype=float)
-    log_t = _LN2 - np.array([math.log(v) for v in s.tolist()]) / alpha
     # (beta / s)^(1/alpha) saturates to inf, and the tilt to -inf, where it
     # leaves the float range
     tilt = beta - np.power(beta / s, 1.0 / alpha)
-    log_jac = log_t - np.log(alpha * s)
     failed: dict[int, str] = {}
     if alpha == 0.5:
-        # log oracle.stable_density_half(1, t) at t = 2 / s^2: 1 / (2 t) = s^2 / 4
-        log_f = -math.log(_SQRT_2PI) - 1.5 * log_t - 0.25 * s * s
+        # oracle.stable_density_half(1, t) at t = 2 / s^2 times 4 s^-3:
+        # exp(-s^2 / 4) / sqrt(pi)
+        log_f = -0.5 * _LOG_PI - 0.25 * s * s
     else:
-        # t by math.log and math.exp: NumPy's SIMD log and exp may round the
-        # last bit otherwise, and near the cancellation edge the series turns
-        # that bit into ~1e-9 of the density
-        t = np.exp(log_t)
-        fits = log_t < 709.0
-        t[fits] = [math.exp(v) for v in log_t[fits].tolist()]
-        log_f, failed = _stable_series(alpha, 1.0, t)
+        # log t by math.log: NumPy's SIMD log may round the last bit
+        # otherwise, and near the cancellation edge the series turns that
+        # bit into ~1e-9 of the density. The series reads log t, so t itself
+        # may leave the float range
+        log_t = _LN2 - np.array([math.log(v) for v in s.tolist()]) / alpha
+        log_g, failed = _stable_series(alpha, 1.0, log_t)
+        log_f = (_LN2 - math.log(alpha)) + log_g
         gone = tilt == -math.inf  # the density is 0 there, whatever the series did
         log_f[gone] = -math.inf
         failed = {i: why for i, why in failed.items() if not gone[i]}
-    return tilt + log_jac + log_f, failed
+    return tilt + log_f, failed

@@ -383,19 +383,19 @@ def _panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 def _panels(v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # GK estimates and error models of panels of half-widths h from the
-    # integrand's values v at their nodes; v has shape (..., len(h), 15), a
-    # leading axis holding one integrand of a family each. The caller has
-    # floating-point warnings off
+    # integrand's values v >= 0 (or nan) at their nodes; v has shape
+    # (..., len(h), 15), a leading axis holding one integrand of a family
+    # each, and is overwritten. The caller has floating-point warnings off
     ik = h * (v @ _GK_WEIGHTS)
     # error model with the roughness rescaling: |ik - ig| alone under-reports
     # on panels touching an integrable singularity
     err = np.abs(ik - h * (v[..., 1::2] @ _G7_WEIGHTS))
-    resabs = h * (np.abs(v) @ _GK_WEIGHTS)
-    dev = v - (ik / (2.0 * h))[..., None]
-    resasc = h * (np.abs(dev, out=dev) @ _GK_WEIGHTS)
+    v -= (ik / (2.0 * h))[..., None]
+    resasc = h * (np.abs(v, out=v) @ _GK_WEIGHTS)
     scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return ik, np.maximum(err, 10.0 * 2.220446049250313e-16 * resabs)
+    # the floor reads resabs = h (|v| @ weights), which is ik since v >= 0
+    return ik, np.maximum(err, 10.0 * 2.220446049250313e-16 * ik)
 
 
 def _geomspace(start: float, stop: float, num: int) -> np.ndarray:

@@ -14,7 +14,7 @@ Conventions used throughout the package:
     (closed form at gamma = 0).
 
 At other alpha the stable density is an alternating series. _stable_series
-sums it over a whole array of t in one array pass, building its xi tables
+sums it over a whole array of log t in one array pass, building its xi tables
 once per call; stable_density_series is its one-point case.
 
 Samplers: sample_stable draws the untilted law by Kanter's construction.
@@ -44,6 +44,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,12 @@ def stable_density_series(alpha: float, delta: float, t: float) -> float:
     _validate_alpha_delta(alpha, delta)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    log_f, failed = _stable_series(alpha, delta, np.array([t], dtype=float))
+    log_t = math.log(t)
+    log_g, failed = _stable_series(alpha, delta, np.array([log_t]))
     if failed:
         raise CancellationError(failed[0])
-    return float(np.exp(log_f)[0])
+    log_2x = _LN2 - (log_t - math.log(delta) / alpha)
+    return float(np.exp(log_g[0] + (alpha + 1.0) * log_2x))
 
 
 # points per row block of _stable_series: bounds its matrices on large grids
@@ -126,19 +129,27 @@ _SERIES_ROWS = 256
 
 
 @np.errstate(all="ignore")
-def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """The series of stable_density_series at every point of a 1-D array t > 0.
+def _stable_series(alpha: float, delta: float, log_t: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """The series of stable_density_series at every point t of a 1-D array
+    log_t of log t, so that a t beyond the float range is no failure.
 
-    Returns the log densities, nan where a point failed, and why each failed
-    point failed, by index into t: the CancellationError message
-    stable_density_series raises. The xi tables (signed sines with the zero
-    sines dropped, xi alpha + 1, and the log Gamma ratios) are built once
-    per call, SERIES_MAX_TERMS wide; each block of _SERIES_ROWS points forms
-    its (points x terms) envelope and term matrices from them, with running
-    sums by np.cumsum, relative to the first envelope where its log is below
-    -700. A point stops at its first term j >= 3 whose envelope is at most
-    SERIES_TERM_TOLERANCE max(|running sum|, 1e-300) and at most the previous
-    term's, unless an envelope overflows (log > 700) first; t = inf fails.
+    Returns log g = log f(t) - (alpha + 1) log(2 / x), x = t delta^(-1/alpha):
+    the log density without the power of its first term, which carries all
+    of its size at large t, so a caller that cancels that power analytically
+    (the diversity density) sees no rounding of it. Also returns nan where a
+    point failed, and why each failed point failed, by index into log_t: the
+    CancellationError message stable_density_series raises, which prints t
+    as exp(log t). The xi tables (signed sines with the zero sines dropped,
+    xi alpha + 1, and the log Gamma ratios) are built once per call,
+    SERIES_MAX_TERMS wide; each block of _SERIES_ROWS points forms its
+    (points x terms) envelope and term matrices from them, relative to the
+    first term's power where the first envelope's log is below -700, with
+    running sums by np.cumsum. A point stops at its first term j >= 3 whose
+    envelope is at most SERIES_TERM_TOLERANCE max(|running sum|, 1e-300) and
+    at most the previous term's, unless an envelope overflows (log > 700)
+    first; log t = inf fails. The caller takes log t by math.log: NumPy's
+    SIMD log may round the last bit otherwise, which the sum amplifies near
+    the cancellation edge.
     """
     tol, guard = SERIES_TERM_TOLERANCE, SERIES_CANCELLATION_GUARD
     xi = np.arange(1, SERIES_MAX_TERMS + 1)
@@ -153,23 +164,28 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
     signed = np.where((fl[keep] + xi) % 2 == 1, sine[keep], -sine[keep])
     a1 = xi * alpha + 1.0
     lg = np.array([math.lgamma(a) - math.lgamma(x + 1.0) for a, x in zip(a1.tolist(), xi.tolist())])
-    # math.log: NumPy's SIMD log may round the last bit otherwise, which the
-    # sum amplifies near the cancellation edge; a t that underflowed to 0
-    # overflows at xi = 1
-    log_t = np.array([math.log(v) if v > 0.0 else -math.inf for v in t.tolist()])
+    # sin(pi alpha) > 0, so the first term is xi = 1, of power alpha + 1
+    rel = alpha * (xi - 1)
     log_scale = -math.log(delta) / alpha
-    log_2x = math.log(2.0) - (log_t + log_scale)
-    log_f = np.full(t.shape, np.nan)
+    log_2x = _LN2 - (log_t + log_scale)
+    log_g = np.full(log_t.shape, np.nan)
     failed: dict[int, str] = {}
     width = xi.size
-    for lo in range(0, t.size, _SERIES_ROWS):
-        rows = range(lo, min(lo + _SERIES_ROWS, t.size))
+    for lo in range(0, log_t.size, _SERIES_ROWS):
+        rows = range(lo, min(lo + _SERIES_ROWS, log_t.size))
         # the stop test reads the envelope, the term without its sine: where
         # alpha xi is an integer only up to rounding, the sine is ~1e-14 and
         # the term looks negligible while the sum is unfinished
-        log_env = lg + a1 * log_2x[lo:rows.stop, None]
-        shift = np.where(log_env[:, 0] < -700.0, log_env[:, 0], 0.0)
-        log_env -= shift[:, None]
+        block = log_2x[lo:rows.stop]
+        log_env = lg + a1 * block[:, None]
+        # where the first envelope is below -700, the terms would underflow:
+        # they are taken relative to the first term's power, as
+        # lg + alpha (xi - 1) log(2 / x), whose first is lg[0] exactly. Where
+        # that power is the whole size of the density (large t) it is then
+        # left out with no rounding; elsewhere log g rounds it off at the end
+        far = log_env[:, 0] < -700.0
+        log_env[far] = lg + rel * block[far, None]
+        power = np.where(far, 0.0, (alpha + 1.0) * block).tolist()
         # below -746 exp is exactly 0; skipping those cells skips NumPy's
         # slow underflow path
         env = np.exp(log_env, out=np.zeros_like(log_env), where=log_env > -746.0)
@@ -181,10 +197,11 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
         first_stop = np.where(stop.any(axis=1), stop.argmax(axis=1), width).tolist()
         first_over = np.where(over.any(axis=1), over.argmax(axis=1), width).tolist()
         for r, i in enumerate(rows):
-            js, jo, ti = first_stop[r], first_over[r], float(t[i])
-            if ti == math.inf:
+            js, jo, lt = first_stop[r], first_over[r], float(log_t[i])
+            if lt == math.inf:
                 failed[i] = "t=inf is outside the float range"
                 continue
+            ti = math.exp(lt) if lt < 709.0 else float(np.exp(lt))
             if jo < width and jo <= js:
                 failed[i] = f"series term overflows at xi={int(xi[jo])}; t={ti} is outside the reliable region"
                 continue
@@ -204,8 +221,8 @@ def _stable_series(alpha: float, delta: float, t: np.ndarray) -> tuple[np.ndarra
                     f"max term {max_mag:.3e} vs sum {total:.3e}"
                 )
             else:
-                log_f[i] = math.log(total) + shift[r]
-    return log_f + (log_scale - _LOG_2PI), failed
+                log_g[i] = math.log(total) - power[r]
+    return log_g + (log_scale - _LOG_2PI), failed
 
 
 def laplace_exponent(params: GGParams, lam):

@@ -1,7 +1,7 @@
 """Tests for generalized Stirling numbers, the block-count pmf, and the
 diversity density.
 
-Three independent routes to the Stirling triangle (log-scale recurrence,
+Three independent routes to the Stirling triangle (linear-scale recurrence,
 exact-rational alternating sum, alpha = 1/2 closed product) must coincide;
 the pmf must match brute-force enumeration and sum to one without any
 renormalization; the diversity density must be consistent between its
@@ -11,10 +11,12 @@ at gamma = 0.
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from pktilt import blocks
 from pktilt.blocks import BlockCountPmf, blocks_pmf, diversity_density, stirling_table
 from pktilt.eppf import EtaMemo, log_vnk
 from pktilt.oracle import (
@@ -59,6 +61,66 @@ def test_stirling_table_recurrence_identity():
             lhs = rows[n + 1][k]
             stay, shift = rows[n][k], rows[n][k - 1]
             assert lhs == pytest.approx(shift + (n - k * alpha) * stay, rel=1e-12)
+
+
+def exact_log_rows(p, j, ns):
+    """log S_alpha(n, k), k = 1..n, for each n in ns at dyadic alpha = p / 2^j,
+    from the integers T(m, k) = S_alpha(m, k) 2^(j (m - 1)): each T is rounded
+    once, to a correctly rounded mantissa in [1/2, 1), and its log is taken
+    with the exponent's log 2 at 50 digits."""
+    one, rows, row = 1 << j, {}, [0, 1]
+    for m in range(1, max(ns)):
+        row.append(0)
+        row = [0] + [row[k - 1] * one + (m * one - k * p) * row[k] for k in range(1, m + 2)]
+        if m + 1 in ns:
+            rows[m + 1] = row[1:]
+    out = {}
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+        for n, row in rows.items():
+            logs = []
+            for tk in row:
+                ex = tk.bit_length()
+                logs.append(float(Decimal(tk / (1 << ex)).ln() + (ex - j * (n - 1)) * ln2))
+            out[n] = np.array(logs)
+    return out
+
+
+@pytest.mark.parametrize("p, j", [(1, 40), (1, 6), (1, 1), (63, 6), ((1 << 40) - 1, 40)])
+def test_stirling_table_matches_exact_integer_row(p, j):
+    # within 4 eps of max(1, |log S|): about the floor of a float log, with
+    # no error that grows with the row
+    alpha = p / 2.0**j
+    eps = np.finfo(float).eps
+    for n, ref in exact_log_rows(p, j, (60, 300)).items():
+        got = stirling_table(alpha, n)[1:n + 1]
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 4.0 * eps, (n, err.max() / eps)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0 - 2.0**-40])
+def test_stirling_table_does_not_depend_on_renormalisation(alpha, monkeypatch):
+    # scaling by a power of two is exact, so when the mantissas are
+    # renormalised changes no bit of the row
+    for n in (1, 2, 16, 17, 33, 500):
+        rows = []
+        for steps in (1, 7, 16):
+            monkeypatch.setattr(blocks, "_RENORM_STEPS", steps)
+            rows.append(stirling_table(alpha, n))
+        assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2]), n
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1.0 - 2.0**-53])
+def test_stirling_table_finite_at_the_ends_of_alpha(alpha):
+    # the mantissas stay in the normal float range where m - k alpha is
+    # nearly m at every k, and where it falls to m 2^-53 at k = m
+    n = 2000
+    row = stirling_table(alpha, n)
+    assert np.isfinite(row[1:n + 1]).all()
+    assert row[n] == 0.0
+    ref = math.fsum(math.log(i - alpha) for i in range(1, n))  # S(n, 1) = (1 - alpha)_(n-1)
+    assert row[1] == pytest.approx(ref, rel=1e-13)
 
 
 def test_stirling_table_validation():
@@ -140,6 +202,13 @@ def test_blocks_pmf_reads_one_row_at_large_n():
         tracemalloc.stop()
     assert abs(pmf.total - 1.0) <= 1e-8
     assert peak < 8e6, peak
+
+
+def test_blocks_pmf_sums_to_one_at_large_n_small_alpha():
+    # the sum drifts with the rounding of the row's 10^4 steps; a log-scale
+    # row reaches 5.1e-11 here
+    pmf = blocks_pmf(10000, GGParams(0.1, 2.0, 0.0))
+    assert abs(pmf.total - 1.0) <= 2e-11
 
 
 def test_blocks_pmf_reuses_supplied_tables():
@@ -263,13 +332,27 @@ def test_diversity_generic_alpha_series_region():
 def test_diversity_keeps_its_value_at_tiny_s():
     # at gamma = 0 the density tends to a positive constant as s -> 0, while
     # the stable density it reads at t = 2 s^(-1/alpha) is far below the
-    # float range; past s ~ 1e-277 t itself overflows and the point fails
+    # float range, and past s ~ 1e-277 t itself overflows: the series reads
+    # log t
     p = GGParams(0.9, 1.0, 0.0)
     ref = diversity_density(p, 1e-50)
-    for s in (1e-150, 1e-200):
+    for s in (1e-150, 1e-200, 1e-300):
         assert diversity_density(p, s) == pytest.approx(ref, rel=1e-12, abs=0.0), s
-    with pytest.raises(CancellationError):
-        diversity_density(p, 1e-300)
+    assert diversity_density(p, 1e-300) == pytest.approx(0.10511370061, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha, s_ref, tiny", [
+    (0.02, 1e-50, (1e-100, 1e-200, 1e-300)),
+    (0.1, 1e-30, (1e-40, 1e-200, 1e-300)),
+])
+def test_diversity_has_no_gap_at_small_alpha(alpha, s_ref, tiny):
+    # t = 2 s^(-1/alpha) overflows from s ~ 1e-7 at alpha = 0.02 and from
+    # s ~ 1e-31 at alpha = 0.1; the density there is its limit 1 / Gamma(1 - alpha)
+    p = GGParams(alpha, 1.0, 0.0)
+    ref = diversity_density(p, s_ref)
+    assert ref == pytest.approx(1.0 / math.gamma(1.0 - alpha), rel=1e-12)
+    for s in tiny:
+        assert diversity_density(p, s) == pytest.approx(ref, rel=1e-12, abs=0.0), s
 
 
 def test_diversity_validation():

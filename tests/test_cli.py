@@ -210,14 +210,14 @@ def test_diversity_at_tiny_delta_is_the_delta_free_law(capsys):
 
 
 def test_diversity_where_t_leaves_the_float_range(capsys):
-    # at s = 1e-300, t = 2 s^(-1/alpha) overflows: the point is null with its
-    # note, while s = 1e-200 keeps its value
+    # at s = 1e-300, t = 2 s^(-1/alpha) overflows, but the series reads log t:
+    # the point keeps its value, as s = 1e-200 does
     argv = ["diversity", "--alpha", "0.9", "--delta", "1", "--gamma", "0", "--s", "1e-200,1e-300"]
     code, doc = run_json(capsys, argv)
     assert code == 0
     assert doc["density"][0] == diversity_density(GGParams(0.9, 1.0, 0.0), 1e-200) > 0.1
-    assert doc["density"][1] is None and doc["log_density"][1] is None
-    assert doc["notes"] == ["", "outside reliable region"]
+    assert doc["density"][1] == pytest.approx(0.10511370061, rel=1e-10)
+    assert doc["notes"] == ["", ""]
 
 
 def test_requests_in_one_process_match_requests_one_at_a_time(tmp_path):

@@ -358,6 +358,38 @@ def test_geomspace_matches_numpy():
         assert np.array_equal(got, np.geomspace(start, stop, num)), (start, stop, num)
 
 
+def _panels_with_resabs(v, h):
+    # the QUADPACK error model of specfun._panels as written out in full, its
+    # floor read from resabs = h (|v| @ weights)
+    gk, g7 = specfun._GK_WEIGHTS, specfun._G7_WEIGHTS
+    ik = h * (v @ gk)
+    err = np.abs(ik - h * (v[..., 1::2] @ g7))
+    resabs = h * (np.abs(v) @ gk)
+    resasc = h * (np.abs(v - (ik / (2.0 * h))[..., None]) @ gk)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return ik, np.maximum(err, 10.0 * 2.220446049250313e-16 * resabs)
+
+
+def test_panels_floor_reads_the_estimate():
+    # on node values exp(.) >= 0, |v| is v and resabs is ik, bit for bit,
+    # also where the values are 0, subnormal, inf or nan
+    rng = np.random.default_rng(3)
+    v = np.exp(rng.uniform(-30.0, 5.0, size=(3, 40, 15)))
+    v[0, :8] = 0.0
+    v[0, 8:16] = 5e-324 * rng.integers(1, 1000, size=(8, 15))
+    v[1, :4] = rng.choice([0.0, 5e-324, 1e-310, 1.0, np.inf, np.nan], size=(4, 15))
+    v[1, 4, 7] = np.inf
+    v[1, 5, 3] = np.nan
+    v[2, :3] = 1e300
+    h = 10.0 ** rng.uniform(-8.0, 3.0, size=40)
+    with np.errstate(all="ignore"):
+        ref = _panels_with_resabs(v, h)
+        got = specfun._panels(v.copy(), h)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 def test_integrate_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(specfun, "MAX_SUBDIVISIONS", 3)
     spec = QuadratureSpec(relative_tolerance=1e-13)

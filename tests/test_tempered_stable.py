@@ -184,11 +184,15 @@ def _series_one_point(alpha, delta, t):
 @pytest.mark.parametrize("alpha", [0.15, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 0.95])
 def test_series_array_core_matches_one_point_loop(alpha):
     # the same failed points with the same messages, and the same values
-    # within the bound of test_series_matches_half_closed_form
-    t = np.geomspace(0.05, 200.0, 60)
+    # within the bound of test_series_matches_half_closed_form. The core
+    # reads log t and prints t as exp(log t): the reference runs at that t
+    log_t = np.log(np.geomspace(0.05, 200.0, 60))
+    t = [math.exp(v) for v in log_t.tolist()]
     for delta in (0.3, 1.0, 3.0):
-        values, failed = ts._stable_series(alpha, delta, t)
-        ref = [_series_one_point(alpha, delta, ti) for ti in t.tolist()]
+        log_g, failed = ts._stable_series(alpha, delta, log_t)
+        # the core leaves out the first term's power (2 / x)^(alpha + 1)
+        values = log_g + (alpha + 1.0) * (math.log(2.0) - log_t + math.log(delta) / alpha)
+        ref = [_series_one_point(alpha, delta, ti) for ti in t]
         assert failed == {i: r for i, r in enumerate(ref) if isinstance(r, str)}
         assert np.isnan(values[list(failed)]).all()
         for i, r in enumerate(ref):
@@ -198,10 +202,10 @@ def test_series_array_core_matches_one_point_loop(alpha):
 
 def test_series_array_core_blocks_rows(monkeypatch):
     # row blocks leave every point as it is
-    t = np.geomspace(0.05, 200.0, 60)
-    whole = ts._stable_series(0.7, 1.0, t)
+    log_t = np.log(np.geomspace(0.05, 200.0, 60))
+    whole = ts._stable_series(0.7, 1.0, log_t)
     monkeypatch.setattr(ts, "_SERIES_ROWS", 7)
-    values, failed = ts._stable_series(0.7, 1.0, t)
+    values, failed = ts._stable_series(0.7, 1.0, log_t)
     assert failed == whole[1]
     assert np.array_equal(values, whole[0], equal_nan=True)
 
